@@ -19,10 +19,11 @@ is therefore bit-identical to scanning every bank: skipped banks could
 only have contributed non-ready candidates, which the scan discards
 anyway.
 
-On the packed-key path arbitration reuses the bank schedulers' penalty
-encoding: a candidate's channel sort is its packed key plus the
-CAS-penalty bit for RAS commands, so picking the winner is one int
-compare per nominated candidate.  Sleep bounds batch through the
+Arbitration reuses the bank schedulers' packed-key penalty encoding: a
+candidate's channel sort is its packed key plus the CAS penalty for
+RAS commands (zero under ``key_over_cas`` policies, whose key ranks
+first), so picking the winner is one int compare per nominated
+candidate.  Sleep bounds batch through the
 legality kernel: each pollable bank contributes its O(1) kind mask and
 one vectorized horizon query replaces the per-bank earliest-issue
 walks (banks in FQ special states fall back to the scalar bound).
@@ -47,21 +48,11 @@ class ChannelScheduler:
         #: invalidated, or the bank is in a state where no bound may be
         #: cached).
         self._bounds: List[Optional[int]] = [None] * len(self.bank_schedulers)
-        #: Whether channel arbitration keeps the CAS-over-RAS level
-        #: above the policy key; key-over-CAS policies (e.g. BLISS)
-        #: rank the key first.
-        self._cas_first = (
-            not self.bank_schedulers[0].policy.key_over_cas
-            if self.bank_schedulers
-            else True
-        )
-        #: Packed-key arbitration: all bank schedulers share one policy,
-        #: so one penalty encoding covers every candidate.
-        self._packed = (
-            self.bank_schedulers[0]._packed if self.bank_schedulers else False
-        )
+        #: All bank schedulers share one policy, so one CAS penalty
+        #: covers every candidate (zero for key-over-CAS policies such
+        #: as BLISS, which rank the key first).
         self._cas_pen = (
-            self.bank_schedulers[0]._cas_pen if self._packed else 0
+            self.bank_schedulers[0]._cas_pen if self.bank_schedulers else 0
         )
         #: Batched sleep-bound plumbing: flat bank indices into the
         #: legality kernel, parallel to ``bank_schedulers``.
@@ -90,11 +81,9 @@ class ChannelScheduler:
     ) -> Optional[CandidateCommand]:
         """The highest-priority ready candidate at cycle ``now``, if any."""
         best: Optional[CandidateCommand] = None
-        best_sort = None
+        best_sort = 0
         bounds = self._bounds
         telemetry = self.telemetry
-        cas_first = self._cas_first
-        packed = self._packed
         cas_pen = self._cas_pen
         ready_seen = 0
         for i, scheduler in enumerate(self.bank_schedulers):
@@ -116,17 +105,8 @@ class ChannelScheduler:
                 # non-ready candidates (see the skip-soundness note in
                 # the module docstring).
                 ready_seen += 1
-            if packed:
-                sort = (
-                    cand.key
-                    if (cand.kind.is_cas or not cas_first)
-                    else cas_pen + cand.key
-                )
-            elif cas_first:
-                sort = (not cand.kind.is_cas, cand.key)
-            else:
-                sort = cand.key
-            if best_sort is None or sort < best_sort:
+            sort = cand.key if cand.kind.is_cas else cas_pen + cand.key
+            if best is None or sort < best_sort:
                 best, best_sort = cand, sort
         if telemetry is not None and best is not None:
             telemetry.on_arbitration(now, ready_seen)

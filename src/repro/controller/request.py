@@ -70,11 +70,11 @@ class MemoryRequest:
     #: estimate is refreshed only when either moves.  -1 = never set.
     vft_thread_epoch: int = -1
     vft_row_epoch: int = -1
-    #: Memoized policy ordering key (packed int or tuple, per the
-    #: scheduler's key path); invalidated (set to ``None``) whenever the
-    #: finish-time estimate is refreshed.  Policies whose keys are fixed
-    #: at arrival never invalidate it.
-    key_cache: Optional[object] = None
+    #: Memoized packed policy ordering key; invalidated (set to
+    #: ``None``) whenever the finish-time estimate is refreshed, and on
+    #: every scheduling pass for policies that opt out of the memo.
+    #: Policies whose keys are fixed at arrival never invalidate it.
+    key_cache: Optional[int] = None
     cas_issued_at: Optional[int] = None
     completed_at: Optional[int] = None
 

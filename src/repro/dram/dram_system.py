@@ -138,27 +138,6 @@ class DramSystem:
             return refresh_end
         return earliest
 
-    def earliest_issue_reference(
-        self, kind: CommandType, rank: int, bank: int
-    ) -> Optional[int]:
-        """The original object-walking combine; the kernel's oracle.
-
-        Kept for the legality differential tests: walks the live bank,
-        rank, and channel objects per query, so it is correct even when
-        those objects were mutated behind the kernel's back.
-        """
-        bank_earliest = self.ranks[rank].banks[bank].earliest_issue(kind)
-        if bank_earliest is None:
-            return None
-        earliest = max(
-            bank_earliest,
-            self.ranks[rank].earliest_issue(kind, bank),
-            self.channel.earliest_issue(kind),
-        )
-        if self.refresh_end is not None:
-            earliest = max(earliest, self.refresh_end)
-        return earliest
-
     def can_issue(self, kind: CommandType, rank: int, bank: int, now: int) -> bool:
         """True when ``kind`` may legally issue to (rank, bank) at ``now``."""
         refresh_end = self.refresh_end

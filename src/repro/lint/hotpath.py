@@ -17,8 +17,8 @@ line at a time:
 
 Roots are the scheduler's candidate-selection entry points, every
 function in the legality module, the wake index (PR 8 — every event
-iteration goes through it), and the indexed engine's sparse dispatch
-in ``sim/system.py``; the pass closes over same-class ``self.*()`` and
+iteration goes through it), and the event engine's targeting and
+due-only dispatch in ``sim/system.py``; the pass closes over same-class ``self.*()`` and
 same-module calls, so a helper extracted from a hot loop stays covered
 without touching this file.
 """
@@ -45,20 +45,20 @@ SCHEDULER_ROOTS = (
 
 #: Every function in this module is a hot kernel (construction aside).
 KERNEL_FILE = "legality.py"
-KERNEL_SKIP = ("__init__", "__repr__", "resolve_backend")
+KERNEL_SKIP = ("__init__", "__repr__")
 
 #: The wake index: every method runs once per event-engine iteration.
 WAKEINDEX_FILE = "wakeindex.py"
 WAKEINDEX_SKIP = ("__init__",)
 
-#: The indexed engine's targeting and sparse-dispatch loops.
+#: The event engine's targeting and due-only dispatch loops.
 SYSTEM_FILE = "system.py"
 SYSTEM_CLASS = "CmpSystem"
-SPARSE_ROOTS = (
-    "_run_event_indexed",
-    "_event_target_indexed",
-    "_sparse_step",
-    "_skip_span_indexed",
+ENGINE_ROOTS = (
+    "_run_event",
+    "_event_target",
+    "_event_step",
+    "_skip_span",
     "_acceptance_due",
     "_wb_unblock_due",
 )
@@ -241,7 +241,7 @@ class HotPathPurityPass(LintPass):
         if name == SCHEDULER_FILE:
             roots = [(SCHEDULER_CLASS, m) for m in SCHEDULER_ROOTS]
         elif name == SYSTEM_FILE:
-            roots = [(SYSTEM_CLASS, m) for m in SPARSE_ROOTS]
+            roots = [(SYSTEM_CLASS, m) for m in ENGINE_ROOTS]
         elif name == KERNEL_FILE:
             roots = _whole_module_roots(file, KERNEL_SKIP)
         elif name == WAKEINDEX_FILE:

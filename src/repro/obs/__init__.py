@@ -94,9 +94,10 @@ class RunObs:
 
         Kernel counters go on every channel's legality kernel; key
         counters on every bank scheduler.  Memoizing schedulers get a
-        counting ``_request_key``; non-memoizing ones get a counting
-        ``_key_of`` (their keys are rebuilt every pass, so the split is
-        ``uncached`` rather than hit/miss).  All rebinding happens here,
+        counting ``_request_key`` plus ``obs_keys`` for the inlined
+        memo in the mixed-kind loop; non-memoizing ones get a counting
+        ``_key_of`` only (their keys are rebuilt every pass, so the
+        split is ``uncached`` rather than hit/miss).  All rebinding happens here,
         at attach time — a run without obs keeps the original bound
         methods and pays nothing.
         """
@@ -108,9 +109,9 @@ class RunObs:
 
     def _attach_scheduler(self, scheduler: "BankScheduler") -> None:
         counters = self.keys
-        scheduler.obs_keys = counters
         inner = scheduler._key_of
         if scheduler.policy.memoize_keys:
+            scheduler.obs_keys = counters
             def counting_request_key(request, _inner=inner, _c=counters):
                 key = request.key_cache
                 if key is None:

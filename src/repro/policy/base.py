@@ -9,8 +9,11 @@ package may assume a concrete policy class.
 A policy contributes up to four things:
 
 1. **A priority key** (:meth:`SchedulingPolicy.request_key`): the
-   per-request ordering tuple, lower = higher priority.  Two class
-   flags shape how the schedulers consume it:
+   per-request ordering tuple, lower = higher priority, plus its
+   packed-int form (:meth:`SchedulingPolicy.key_field_specs` and
+   :meth:`SchedulingPolicy.packed_key`, both required to run), which
+   is what the schedulers compare.  Two class flags shape how the
+   schedulers consume it:
 
    * ``memoize_keys`` — True (default) means a request's key is a pure
      function of the request's fields (including its cached VFT
@@ -121,17 +124,16 @@ class SchedulingPolicy:
     # -- packed-int keys (see repro.policy.packing) -------------------------
 
     def key_field_specs(self) -> Optional[Tuple[KeyField, ...]]:
-        """Declared bit-width layout of the key fields, or ``None``.
+        """Declared bit-width layout of the key fields (required).
 
-        Returning a :class:`~repro.policy.packing.KeyField` tuple (one
-        per :meth:`key_field_names` entry, same order) opts the policy
-        into packed-int scheduling: the schedulers compare the single
-        int from :meth:`packed_key` instead of allocating the ordering
-        tuple per candidate.  ``None`` (the default) keeps the policy
-        on the tuple path — always correct, just slower.  A policy that
-        declares a layout promises every ``uint`` field stays within
-        its width for the lifetime of a run; the tuple path remains the
-        oracle either way.
+        A :class:`~repro.policy.packing.KeyField` tuple, one per
+        :meth:`key_field_names` entry in the same order.  The schedulers
+        compare only the single int from :meth:`packed_key`, so every
+        policy that runs must declare one: the default ``None`` makes
+        :class:`~repro.controller.bank_scheduler.BankScheduler` reject
+        the policy at construction.  A declared layout promises every
+        ``uint`` field stays within its width for the lifetime of a
+        run.
         """
         return None
 

@@ -21,19 +21,19 @@ The contract mirrors the tuple it replaces:
   ``-0.0`` and ``+0.0`` map to distinct images although they compare
   equal as floats — no simulator quantity ever produces ``-0.0``).
 
-The tuple path (:meth:`~repro.policy.base.SchedulingPolicy.
-request_key`) stays fully supported and is the **oracle**: policies
-without a declared layout run on tuples exactly as before, and
-``REPRO_PACKED_KEYS=0`` forces every policy onto the tuple path so a
-differential run can prove packed selection bit-identical.
+Every scheduling policy declares a layout; the packed int is the only
+encoding the bank and channel schedulers compare.  The ordering tuple
+(:meth:`~repro.policy.base.SchedulingPolicy.request_key`) is the
+specification the packed keys must agree with: the property tests in
+``tests/policy`` check packed-vs-tuple ordering for every registered
+policy, and the bank-selection reference test in ``tests/controller``
+checks that the schedulers' picks equal a plain tuple min.
 """
 
 from __future__ import annotations
 
 from struct import Struct
 from typing import NamedTuple, Tuple
-
-from .. import env
 
 #: Bits for monotonically-growing cycle-valued fields (arrival times,
 #: service counters): 2**44 cycles ≈ 1.7e13, far past any run length.
@@ -75,15 +75,6 @@ def float_sort_bits(value: float) -> int:
     if bits & _SIGN:
         return _MASK64 - bits
     return bits | _SIGN
-
-
-def packed_keys_enabled() -> bool:
-    """Whether schedulers may take the packed-int key path.
-
-    ``REPRO_PACKED_KEYS=0`` forces the tuple oracle everywhere — the
-    differential lever the packed-vs-tuple harness tests pull.
-    """
-    return env.text("REPRO_PACKED_KEYS", "1") != "0"
 
 
 def total_bits(specs: Tuple[KeyField, ...]) -> int:

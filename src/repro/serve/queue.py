@@ -47,8 +47,8 @@ class Job:
 
     __slots__ = (
         "job_id", "tenant", "spec", "cost", "start_tag", "finish_tag",
-        "attempts", "state", "submitted_s", "started_s", "finished_s",
-        "busy_s", "error",
+        "attempts", "state", "submitted_s", "started_s", "busy_s",
+        "error",
     )
 
     def __init__(
@@ -66,7 +66,6 @@ class Job:
         #: only for metrics, never for scheduling or results.
         self.submitted_s = 0.0
         self.started_s = 0.0
-        self.finished_s = 0.0
         self.busy_s = 0.0
         self.error: Optional[str] = None
 

@@ -27,8 +27,8 @@ are conservative (early answers are safe — the engine just steps a
 no-op cycle) and a component's wake bound cannot move *earlier* while
 the component is untouched, so retained entries never cause a late
 wake.  The differential suites (golden matrix, ``repro-fqms check``,
-``tests/sim/test_wakeindex.py``) prove the indexed engine bit-identical
-to the scan oracle kept behind ``REPRO_WAKE_INDEX=0``.
+``tests/sim/test_engine_differential.py``) prove the event engine
+bit-identical to the per-cycle engine.
 """
 
 from __future__ import annotations
@@ -36,9 +36,8 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import List, Optional, Tuple
 
-#: Published wake meaning "no self-generated event" (matches the scan
-#: engine's ``CmpSystem._NO_EVENT`` sentinel).  Slots at NO_EVENT hold
-#: no live heap entry at all: an idle component costs nothing.
+#: Published wake meaning "no self-generated event".  Slots at NO_EVENT
+#: hold no live heap entry at all: an idle component costs nothing.
 NO_EVENT = 1 << 62
 
 

@@ -112,13 +112,9 @@ class TestLegalityKernels:
         assert findings
         assert all("module-level mutable '_CACHE'" in f.message for f in findings)
 
-    def test_constructor_and_resolver_are_skipped(self, project_of, run_rule):
+    def test_constructor_is_skipped(self, project_of, run_rule):
         project = project_of({
             "legality.py": """
-                def resolve_backend(choice):
-                    return sorted(choice)
-
-
                 class Backend:
                     def __init__(self, timings):
                         self.labels = [f"t{i}" for i in timings]
@@ -173,7 +169,7 @@ class TestSparseDispatch:
         project = project_of({
             "system.py": """
                 class CmpSystem:
-                    def _sparse_step(self):
+                    def _event_step(self):
                         for slot in sorted(self._due):
                             self._tick(slot)
             """,
@@ -181,13 +177,13 @@ class TestSparseDispatch:
         findings = run_rule("HOT500", project)
         assert len(findings) == 1
         assert "sorted()" in findings[0].message
-        assert "CmpSystem._sparse_step" in findings[0].message
+        assert "CmpSystem._event_step" in findings[0].message
 
     def test_helper_reached_from_targeting_root(self, project_of, run_rule):
         project = project_of({
             "system.py": """
                 class CmpSystem:
-                    def _event_target_indexed(self, limit):
+                    def _event_target(self, limit):
                         return self._probe(limit)
 
                     def _probe(self, limit):

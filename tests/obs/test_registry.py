@@ -45,7 +45,7 @@ class TestMetricsRegistry:
 class TestCounterStructs:
     def test_kernel_counters_start_at_zero(self):
         c = KernelCounters()
-        assert (c.queries, c.batch_queries, c.rebuilds, c.syncs) == (0, 0, 0, 0)
+        assert (c.queries, c.batch_queries, c.syncs) == (0, 0, 0)
 
     def test_key_cache_hit_ratio(self):
         c = KeyCacheCounters()

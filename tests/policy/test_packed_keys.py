@@ -1,13 +1,13 @@
 """Packed-int priority keys must order exactly like the tuple oracle.
 
 The bank and channel schedulers compare packed keys with one int
-compare; the tuple path (``REPRO_PACKED_KEYS=0``) is the oracle.  The
-two paths are interchangeable only if, for every registered policy and
-every pair of requests, the packed ordering equals the tuple ordering —
-including ties, which must pack to equal ints so downstream tie-break
-behaviour cannot diverge.  This property is exercised over seeded
-random key-field values plus the boundary values at each declared
-field width.
+compare; each policy's ordering tuple (``request_key``) is the
+specification.  The packed key is faithful only if, for every
+registered policy and every pair of requests, the packed ordering
+equals the tuple ordering — including ties, which must pack to equal
+ints so downstream tie-break behaviour cannot diverge.  This property
+is exercised over seeded random key-field values plus the boundary
+values at each declared field width.
 """
 
 import random

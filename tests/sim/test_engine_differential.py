@@ -53,25 +53,6 @@ class TestEngineBitIdentity:
         assert not any(k.startswith("engine_") for k in oracle.extras)
 
 
-class TestWakeIndexKnob:
-    @pytest.mark.parametrize("policy", DEFAULT_POLICIES)
-    def test_scan_oracle_knob_is_bit_identical(self, policy, monkeypatch):
-        """`REPRO_WAKE_INDEX=0` swaps the engine's targeting/dispatch
-        machinery without moving a single result bit — with the runtime
-        checkers attached, so the scan path also stays protocol-clean."""
-        monkeypatch.setenv("REPRO_WAKE_INDEX", "0")
-        oracle_scan, event_scan = run_engine_pair(
-            policy, CYCLES, workload=PAIR, warmup=WARMUP, check=True
-        )
-        monkeypatch.delenv("REPRO_WAKE_INDEX")
-        oracle_idx, event_idx = run_engine_pair(
-            policy, CYCLES, workload=PAIR, warmup=WARMUP, check=True
-        )
-        assert _as_dict(event_scan) == _as_dict(event_idx)
-        assert _as_dict(oracle_scan) == _as_dict(oracle_idx)
-        assert _as_dict(event_idx) == _as_dict(oracle_idx)
-
-
 class TestFastForwardFlag:
     def test_fast_forward_false_forces_per_cycle_loop(self):
         """``run_cycles(fast_forward=False)`` is the oracle regardless of
