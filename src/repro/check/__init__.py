@@ -11,13 +11,14 @@ the code they check:
 * ``tools/lint_determinism.py`` — a static determinism lint run in CI
   (not imported here; it is a standalone script).
 
-Checks are opt-in: pass ``--check`` on the CLI or set ``REPRO_CHECK=1``
-in the environment.  The environment variable is the propagation
-mechanism — worker processes of the parallel experiment engine inherit
-it, so checked runs stay checked across a process pool.  When enabled,
-a :class:`RunChecker` attaches to each memory controller; when a check
-fails the run dies immediately with a :class:`CheckError` subclass
-carrying the offending event.
+The first two run together as one :class:`RunChecker` probe
+(:mod:`repro.probe`).  Checks are opt-in: pass ``--check`` on the CLI,
+set ``REPRO_CHECK=1``, or pass ``probes=[RunChecker()]`` to
+:class:`~repro.sim.system.CmpSystem`.  The environment variable is
+the propagation mechanism — worker processes of the parallel
+experiment engine inherit it, so checked runs stay checked across a
+process pool.  When a check fails the run dies immediately with a
+:class:`CheckError` subclass carrying the offending event.
 
 Checked and unchecked runs must be bit-identical: the checkers only
 observe, never steer, and ``REPRO_CHECK`` is deliberately *not* part of
@@ -30,13 +31,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict
 
 from .. import env
+from ..probe import Probe
 from .invariants import InvariantViolation, SchedulerInvariantChecker
 from .protocol import CheckError, DramProtocolSanitizer, ProtocolViolation
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from ..controller.bank_scheduler import CandidateCommand
+    from ..controller.bank_scheduler import BankScheduler, CandidateCommand
     from ..controller.controller import MemoryController
     from ..controller.request import MemoryRequest
+    from ..sim.system import CmpSystem
 
 __all__ = [
     "CheckError",
@@ -61,47 +64,59 @@ def checks_enabled() -> bool:
     return env.flag(CHECK_ENV_VAR)
 
 
-class RunChecker:
-    """Protocol sanitizer + invariant checker for one memory controller.
+class RunChecker(Probe):
+    """The checker probe: a protocol sanitizer and an invariant checker
+    per channel, with every hook routed to the channel it happened on.
 
-    The controller calls the four observation hooks from its own event
-    sites; each hook fans out to both layers.  All hooks raise a
-    :class:`CheckError` subclass on the first violation.
+    All hooks raise a :class:`CheckError` subclass on the first
+    violation.
     """
 
-    def __init__(self, controller: "MemoryController"):
-        dram = controller.dram
-        self.protocol = DramProtocolSanitizer(
-            dram.timing,
-            num_ranks=dram.num_ranks,
-            num_banks=dram.num_banks,
-        )
-        self.invariants = SchedulerInvariantChecker(controller)
+    def attach(self, system: "CmpSystem") -> None:
+        controllers = system.controllers
+        #: Per-channel layers, indexed like ``system.controllers``.
+        self.protocols = [
+            DramProtocolSanitizer(
+                c.dram.timing, num_ranks=c.dram.num_ranks, num_banks=c.dram.num_banks
+            )
+            for c in controllers
+        ]
+        self.invariants = [SchedulerInvariantChecker(c) for c in controllers]
+        #: Channel of each device, for hooks that carry no request.
+        self._channel_of = {c.dram: i for i, c in enumerate(controllers)}
 
     def on_accept(self, request: "MemoryRequest", now: int) -> None:
-        self.invariants.on_accept(request, now)
+        self.invariants[request.channel].on_accept(request, now)
 
-    def on_command(self, cand: "CandidateCommand", now: int) -> None:
-        self.protocol.on_command(cand.kind, cand.rank, cand.bank, cand.row, now)
-        self.invariants.on_command(cand, now)
+    def on_command(
+        self, scheduler: "BankScheduler", cand: "CandidateCommand", now: int
+    ) -> None:
+        channel = self._channel_of[scheduler.dram]
+        self.protocols[channel].on_command(
+            cand.kind, cand.rank, cand.bank, cand.row, now
+        )
+        self.invariants[channel].on_command(cand, now)
 
-    def on_refresh(self, now: int) -> None:
-        self.protocol.on_refresh(now)
-        self.invariants.on_refresh(now)
+    def on_refresh(self, controller: "MemoryController", now: int) -> None:
+        channel = self._channel_of[controller.dram]
+        self.protocols[channel].on_refresh(now)
+        self.invariants[channel].on_refresh(now)
 
     def on_complete(self, request: "MemoryRequest", now: int) -> None:
-        self.invariants.on_complete(request, now)
+        self.invariants[request.channel].on_complete(request, now)
 
-    def finalize(self, now: int) -> None:
+    def finalize(self, system: "CmpSystem") -> None:
         """End-of-run invariants (request conservation balance)."""
-        self.invariants.finalize(now)
+        for invariants in self.invariants:
+            invariants.finalize(system.now)
 
     def summary(self) -> Dict[str, int]:
-        """Counters proving the checkers actually saw traffic."""
+        """Counters proving the checkers saw traffic, summed over channels."""
+        protocols, invariants = self.protocols, self.invariants
         return {
-            "commands_checked": self.protocol.commands_checked,
-            "refreshes_checked": self.protocol.refreshes_checked,
-            "requests_accepted": self.invariants.accepted,
-            "requests_retired": self.invariants.retired,
-            "requests_completed": self.invariants.completed,
+            "commands_checked": sum(p.commands_checked for p in protocols),
+            "refreshes_checked": sum(p.refreshes_checked for p in protocols),
+            "requests_accepted": sum(i.accepted for i in invariants),
+            "requests_retired": sum(i.retired for i in invariants),
+            "requests_completed": sum(i.completed for i in invariants),
         }

@@ -24,6 +24,7 @@ from ..policy import HEADLINE_POLICIES
 from ..sim.config import SystemConfig
 from ..sim.system import CmpSystem, SimResult, comparable_result
 from ..workloads.spec2000 import profile
+from . import RunChecker
 
 #: The policies every differential check covers: the paper's three
 #: headline schedulers (§5 evaluation) plus the post-paper policies
@@ -52,7 +53,7 @@ def run_checked_pair(
     """Run ``workload`` under ``policy`` unchecked then checked.
 
     Returns ``(plain, checked, counters)`` where ``counters`` is the
-    checked system's :meth:`~repro.sim.system.CmpSystem.check_summary`.
+    checker's :meth:`~repro.check.RunChecker.summary`.
     Both runs build fresh systems from the same config, so any
     divergence is the checkers' fault, not residual state.  ``engine``
     pins the simulation engine; None defers to the environment default.
@@ -62,10 +63,12 @@ def run_checked_pair(
         policy=policy, num_cores=len(workload), seed=seed, **kwargs
     )
     profiles = [profile(name) for name in workload]
-    plain = CmpSystem(config, profiles, check=False).run(cycles, warmup=warmup)
-    checked_system = CmpSystem(config, profiles, check=True)
-    checked = checked_system.run(cycles, warmup=warmup)
-    return plain, checked, checked_system.check_summary()
+    plain = CmpSystem(config, profiles, probes=()).run(cycles, warmup=warmup)
+    checker = RunChecker()
+    checked = CmpSystem(config, profiles, probes=[checker]).run(
+        cycles, warmup=warmup
+    )
+    return plain, checked, checker.summary()
 
 
 def run_engine_pair(
@@ -88,8 +91,9 @@ def run_engine_pair(
         config = SystemConfig(
             policy=policy, num_cores=len(workload), seed=seed, engine=engine
         )
+        probes = [RunChecker()] if check else []
         results.append(
-            CmpSystem(config, profiles, check=check).run(cycles, warmup=warmup)
+            CmpSystem(config, profiles, probes=probes).run(cycles, warmup=warmup)
         )
     return results[0], results[1]
 

@@ -283,14 +283,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "oracle); equivalent to REPRO_ENGINE",
     )
     parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="attach the repro.telemetry observers (request-lifecycle "
-        "tracer + interval sampler) to every freshly simulated run; "
-        "equivalent to REPRO_TRACE=1 (results are unchanged; batch "
-        "runs served from the result cache are not re-traced)",
-    )
-    parser.add_argument(
         "--obs",
         action="store_true",
         help="attach the repro.obs engine-internals metrics registry to "
@@ -320,7 +312,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=None,
         help="interval-sampler period in cycles for 'trace'/'report' "
-        "(default 1000; REPRO_TRACE_PERIOD also honoured)",
+        "(default 1000)",
     )
     parser.add_argument(
         "--out",
@@ -359,12 +351,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         # their configs from REPRO_ENGINE.  The fingerprint includes the
         # engine, so cached results never cross engines.
         os.environ["REPRO_ENGINE"] = args.engine
-    if args.trace:
-        # Same environment plumbing again; tracing never changes
-        # results, so it is deliberately NOT in cache fingerprints.
-        os.environ["REPRO_TRACE"] = "1"
     if args.obs:
-        # And once more for the engine-internals metrics registry.
+        # And once more for the engine-internals metrics registry
+        # (never in cache fingerprints: it cannot change results).
         os.environ["REPRO_OBS"] = "1"
     configure_cache(cache_dir=args.cache_dir, enabled=not args.no_cache)
     store = None

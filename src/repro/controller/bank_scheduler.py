@@ -138,9 +138,6 @@ class BankScheduler:
         #: False, write requests are held back so reads proceed without
         #: bus-turnaround penalties.
         self.writes_eligible = True
-        #: Optional run telemetry (repro.telemetry); None in normal
-        #: runs, so the issue hook costs one attribute test.
-        self.telemetry = None
         #: Optional policy-key memo counters (repro.obs); None in
         #: normal runs.  RunObs.attach also rebinds ``_request_key`` /
         #: ``_key_of`` to counting closures, so only the mixed-kind
@@ -728,10 +725,6 @@ class BankScheduler:
 
     def on_issue(self, cand: CandidateCommand, now: int) -> None:
         """Update bookkeeping after the channel scheduler issues ``cand``."""
-        if self.telemetry is not None:
-            # Before any mutation, so the inversion probe sees the
-            # queue exactly as the selection that chose ``cand`` did.
-            self.telemetry.on_bank_issue(self, cand, now)
         if cand.kind is CommandType.ACTIVATE and cand.request is not None:
             self.open_row_thread = cand.request.thread_id
             self.open_row_arrival = cand.request.virtual_arrival

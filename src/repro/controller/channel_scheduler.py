@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
+from ..probe import Probe
 from .bank_scheduler import BankScheduler, CandidateCommand, IDLE_BOUND
 
 
@@ -62,9 +63,9 @@ class ChannelScheduler:
             else None
         )
         self._flats = [s.vtms_bank_index for s in self.bank_schedulers]
-        #: Optional run telemetry (repro.telemetry); None in normal
-        #: runs, so arbitration accounting costs one attribute test.
-        self.telemetry = None
+        #: The system's probe bus (repro.probe); None in normal runs,
+        #: so arbitration accounting costs one attribute test.
+        self.probe: Optional[Probe] = None
 
     def invalidate(self, rank: int, bank: int) -> None:
         """Drop the cached bound for one bank (its state changed)."""
@@ -83,7 +84,6 @@ class ChannelScheduler:
         best: Optional[CandidateCommand] = None
         best_sort = 0
         bounds = self._bounds
-        telemetry = self.telemetry
         cas_pen = self._cas_pen
         ready_seen = 0
         for i, scheduler in enumerate(self.bank_schedulers):
@@ -100,16 +100,15 @@ class ChannelScheduler:
             if cand is None or not cand.ready:
                 bounds[i] = scheduler.cacheable_wake(now)
                 continue
-            if telemetry is not None:
-                # Exact ready count: skipped banks can only have held
-                # non-ready candidates (see the skip-soundness note in
-                # the module docstring).
-                ready_seen += 1
+            # Exact ready count: skipped banks can only have held
+            # non-ready candidates (see the skip-soundness note in the
+            # module docstring).
+            ready_seen += 1
             sort = cand.key if cand.kind.is_cas else cas_pen + cand.key
             if best is None or sort < best_sort:
                 best, best_sort = cand, sort
-        if telemetry is not None and best is not None:
-            telemetry.on_arbitration(now, ready_seen)
+        if self.probe is not None and best is not None:
+            self.probe.on_arbitration(now, ready_seen)
         return best
 
     def min_wake(self, now: int) -> Optional[int]:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Set, Tuple
 
 from ..controller.request import MemoryRequest, RequestKind
+from ..probe import Probe
 from .cache import MshrFile
 from .hierarchy import CacheHierarchy
 from .prefetch import PrefetchConfig, StreamPrefetcher
@@ -119,9 +120,9 @@ class OooCore:
         self.hierarchy = hierarchy
         self.submit = submit
         self.stats = CoreStats()
-        #: Optional run telemetry (repro.telemetry); None in normal
-        #: runs, so submit/fill hooks cost one attribute test each.
-        self.telemetry = None
+        #: The system's probe bus (repro.probe); None in normal runs,
+        #: so submit/fill hooks cost one attribute test each.
+        self.probe: Optional[Probe] = None
         # The MSHR file holds demand and prefetch misses together (so a
         # demand miss merges with an in-flight prefetch); each kind has
         # its own allocation budget.
@@ -239,8 +240,8 @@ class OooCore:
             if not self.submit(request):
                 self.stats.nacks += 1
                 break
-            if self.telemetry is not None:
-                self.telemetry.on_core_submit(request, line, now)
+            if self.probe is not None:
+                self.probe.on_core_submit(request, line, now)
             self.hierarchy.pending_writebacks.popleft()
 
     def _fetch(self, now: int) -> None:
@@ -316,8 +317,8 @@ class OooCore:
                 # Controller back-pressure: retry next cycle.
                 self._nack_blocked = True
                 break
-            if self.telemetry is not None:
-                self.telemetry.on_core_submit(request, result.line, now)
+            if self.probe is not None:
+                self.probe.on_core_submit(request, result.line, now)
             self.mshr.allocate(result.line, op)
             self._demand_outstanding += 1
             op.state = _OpState.OUTSTANDING
@@ -344,8 +345,8 @@ class OooCore:
                 # Prefetches are hints: a NACKed one is simply dropped.
                 self.stats.nacks += 1
                 break
-            if self.telemetry is not None:
-                self.telemetry.on_core_submit(request, line, now)
+            if self.probe is not None:
+                self.probe.on_core_submit(request, line, now)
             self.mshr.allocate(line, _PREFETCH_SENTINEL)
             self._prefetch_lines.add(line)
 
@@ -378,8 +379,8 @@ class OooCore:
 
     def on_fill(self, line: int, now: int) -> None:
         """A read for ``line`` returned from the memory system."""
-        if self.telemetry is not None:
-            self.telemetry.on_core_fill(self.core_id, line, now)
+        if self.probe is not None:
+            self.probe.on_core_fill(self.core_id, line, now)
         self._asleep = False
         waiters = self.mshr.complete(line)
         if line in self._prefetch_lines:

@@ -3,11 +3,14 @@
 ``repro.obs`` watches the *simulator itself* the way ``repro.telemetry``
 watches the simulated requests: wake-index churn, legality-kernel
 traffic, policy-key memo effectiveness, event-loop phase times, and
-``run_many`` fleet state.  Like the checker and telemetry layers it is
-a pure observer — attaching it never changes a single result bit (the
-differential tests in ``tests/obs/`` pin obs-on against obs-off across
-both engines and every headline policy) — and its disabled cost is a
-handful of ``x is None`` guards.
+``run_many`` fleet state.  Like the checker and telemetry layers,
+:class:`RunObs` is a :class:`~repro.probe.Probe` and a pure observer —
+attaching it never changes a single result bit (the differential tests
+in ``tests/obs/`` pin obs-on against obs-off across both engines and
+every headline policy) — and its disabled cost is a handful of
+``x is None`` guards.  Its bus hooks are the no-op defaults: the hot
+counters are bound into components at ``attach`` instead, and
+``finalize`` harvests them.
 
 Layout:
 
@@ -25,10 +28,9 @@ Layout:
   ``repro-fqms perf`` and ``repro-fqms sweep`` subcommands.
 
 Knobs (all semantics-free, all declared in :mod:`repro.env`):
-``REPRO_OBS=1`` attaches the registry to every freshly simulated run;
-``REPRO_OBS_PHASES=1`` additionally arms the phase timer;
-``REPRO_OBS_MANIFEST=DIR`` makes runner/parallel write one manifest
-per executed run into ``DIR``.
+``REPRO_OBS=1`` attaches the registry and the phase timer to every
+freshly simulated run; ``REPRO_OBS_MANIFEST=DIR`` makes runner/parallel
+write one manifest per executed run into ``DIR``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from .. import env
+from ..probe import Probe
 from .registry import KernelCounters, KeyCacheCounters, MetricsRegistry
 from .phases import ENGINE_PHASES, PhaseTimer
 
@@ -44,22 +47,16 @@ if TYPE_CHECKING:  # pragma: no cover - types only (avoids import cycle)
     from ..sim.system import CmpSystem
 
 OBS_ENV_VAR = "REPRO_OBS"
-OBS_PHASES_ENV_VAR = "REPRO_OBS_PHASES"
 OBS_MANIFEST_ENV_VAR = "REPRO_OBS_MANIFEST"
 
 
 def obs_enabled() -> bool:
-    """``REPRO_OBS`` as a flag (same convention as REPRO_CHECK/TRACE).
+    """``REPRO_OBS`` as a flag (same convention as REPRO_CHECK).
 
     Read at system construction so the parallel engine's worker
     processes inherit the choice through the environment.
     """
     return env.flag(OBS_ENV_VAR)
-
-
-def phases_enabled() -> bool:
-    """``REPRO_OBS_PHASES``: arm the wall-clock phase timer too."""
-    return env.flag(OBS_PHASES_ENV_VAR)
 
 
 def manifest_dir() -> Optional[str]:
@@ -68,23 +65,28 @@ def manifest_dir() -> Optional[str]:
     return value if value else None
 
 
-class RunObs:
+def attached_obs(system: "CmpSystem") -> Optional["RunObs"]:
+    """The :class:`RunObs` among ``system.probes``, or None."""
+    for probe in system.probes:
+        if isinstance(probe, RunObs):
+            return probe
+    return None
+
+
+class RunObs(Probe):
     """One run's observability state: registry + hot counter structs.
 
-    Mirrors :class:`repro.telemetry.RunTelemetry`'s attach pattern: the
-    system constructs one instance and fans references out to every
-    instrumented component; components bump plain attributes; the
-    system calls :meth:`finalize` once after the run to harvest
-    everything into :attr:`registry`.
+    A probe whose bus hooks stay no-ops: :meth:`attach` binds counter
+    structs (and the phase timer) into the instrumented components,
+    which bump plain attributes; :meth:`finalize` harvests everything
+    into :attr:`registry` once after the run.
     """
 
-    def __init__(self, phase_timing: bool = False):
+    def __init__(self) -> None:
         self.registry = MetricsRegistry()
         self.legality = KernelCounters()
         self.keys = KeyCacheCounters()
-        self.phases: Optional[PhaseTimer] = (
-            PhaseTimer() if phase_timing else None
-        )
+        self.phases = PhaseTimer()
         self._finalized = False
 
     # -- attachment --------------------------------------------------------
@@ -92,8 +94,9 @@ class RunObs:
     def attach(self, system: "CmpSystem") -> None:
         """Wire this instance into ``system``'s hot components.
 
-        Kernel counters go on every channel's legality kernel; key
-        counters on every bank scheduler.  Memoizing schedulers get a
+        The phase timer goes on the system's engine loops, kernel
+        counters on every channel's legality kernel, key counters on
+        every bank scheduler.  Memoizing schedulers get a
         counting ``_request_key`` plus ``obs_keys`` for the inlined
         memo in the mixed-kind loop; non-memoizing ones get a counting
         ``_key_of`` only (their keys are rebuilt every pass, so the
@@ -101,6 +104,7 @@ class RunObs:
         at attach time — a run without obs keeps the original bound
         methods and pays nothing.
         """
+        system.phases = self.phases
         for dram in system.drams:
             dram.kernel.counters = self.legality
         for controller in system.controllers:
@@ -156,10 +160,9 @@ __all__ = [
     "MetricsRegistry",
     "OBS_ENV_VAR",
     "OBS_MANIFEST_ENV_VAR",
-    "OBS_PHASES_ENV_VAR",
     "PhaseTimer",
     "RunObs",
+    "attached_obs",
     "manifest_dir",
     "obs_enabled",
-    "phases_enabled",
 ]

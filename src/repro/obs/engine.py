@@ -119,8 +119,7 @@ def harvest(system: "CmpSystem", obs: "RunObs") -> None:
     registry.gauge("policy_keys.misses", keys.misses)
     registry.gauge("policy_keys.uncached", keys.uncached)
     registry.gauge("policy_keys.hit_ratio", keys.hit_ratio)
-    if obs.phases is not None:
-        obs.phases.end()
-        for phase, seconds in obs.phases.totals().items():
-            registry.timer(f"phase.{phase}_s", seconds)
-        registry.timer("phase.total_s", obs.phases.total_seconds())
+    obs.phases.end()
+    for phase, seconds in obs.phases.totals().items():
+        registry.timer(f"phase.{phase}_s", seconds)
+    registry.timer("phase.total_s", obs.phases.total_seconds())

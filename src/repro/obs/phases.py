@@ -14,8 +14,9 @@ and it keeps the hazard contained by construction:
   bit-identical with phase timing on or off (the differential tests in
   ``tests/obs/`` pin this).
 * The engine calls :meth:`PhaseTimer.begin`/:meth:`PhaseTimer.end`
-  through ``phases is not None`` guards, so a run without
-  ``REPRO_OBS_PHASES`` never reaches this module at all.
+  through ``phases is not None`` guards; only a run with a
+  :class:`~repro.obs.RunObs` probe attached arms the timer, so any
+  other run never reaches this module at all.
 """
 
 from __future__ import annotations
@@ -67,12 +68,3 @@ class PhaseTimer:
     def total_seconds(self) -> float:
         return sum(self._totals.values())
 
-
-def wall_clock() -> float:
-    """Monotonic wall-clock seconds for harness-side rate reporting.
-
-    The sanctioned accessor for observability code (fleet dashboards,
-    bench writers) that needs elapsed time without importing ``time``
-    itself and re-litigating the DET008 suppression.
-    """
-    return perf_counter()

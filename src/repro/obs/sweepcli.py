@@ -165,7 +165,7 @@ def main(argv: Sequence[str]) -> int:
         return 2
     if args.obs:
         # Via the environment so pool workers inherit it (same plumbing
-        # as --check/--trace in the main CLI).
+        # as --check/--obs in the main CLI).
         os.environ[OBS_ENV_VAR] = "1"
     if args.manifest_dir:
         os.environ[OBS_MANIFEST_ENV_VAR] = args.manifest_dir

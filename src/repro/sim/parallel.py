@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import env
-from ..obs import fleet, manifest_dir
+from ..obs import attached_obs, fleet, manifest_dir
 from ..policy import BASELINE_POLICY, canonical
 from ..workloads.spec2000 import profile as lookup_profile
 from ..workloads.synthetic import BenchmarkProfile
@@ -153,11 +153,10 @@ def run_label(spec: RunSpec) -> str:
 def execute_spec(spec: RunSpec) -> SimResult:
     """Simulate ``spec`` from scratch (no cache layers consulted)."""
     config, profiles = spec.build()
-    # Tracing is forced off for batch/cached runs: telemetry never
-    # changes results (so cached results stay valid either way), but
-    # its buffers are per-run artifacts that the result cache cannot
-    # round-trip — traced runs go through the dedicated driver.
-    system = CmpSystem(config, profiles, trace=False)
+    # Only the environment's probes (checker, obs) ride batch runs:
+    # telemetry buffers are per-run artifacts that the result cache
+    # cannot round-trip — traced runs go through the dedicated driver.
+    system = CmpSystem(config, profiles)
     # Progress heartbeats ride a side thread sampling ``system.now``;
     # the simulation itself is untouched (chunking the run to emit
     # between chunks would change the engine_* extras and fork cached
@@ -198,7 +197,7 @@ def _write_run_manifest(out_dir: str, spec: RunSpec, system, result) -> None:
             seed=spec.seed,
             result=result,
             source="fresh",
-            obs=system.obs,
+            obs=attached_obs(system),
         )
     except OSError:
         pass

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .. import env
 from ..core.shares import equal_shares
-from ..obs import manifest_dir
+from ..obs import attached_obs, manifest_dir
 from ..policy import BASELINE_POLICY
 from ..workloads.spec2000 import profile as lookup_profile
 from ..workloads.synthetic import BenchmarkProfile
@@ -113,15 +113,13 @@ def run_workload(
     seed: int = 0,
     inversion_bound: Optional[int] = None,
     engine: Optional[str] = None,
-    trace: Optional[bool] = None,
 ) -> SimResult:
     """Co-schedule ``profiles`` (one per core) under ``policy`` (uncached).
 
     ``engine`` overrides the simulation engine ("event" or "cycle");
-    None defers to ``REPRO_ENGINE`` / the event default.  ``trace``
-    attaches :mod:`repro.telemetry` observers (None defers to
-    ``REPRO_TRACE``); use :func:`repro.telemetry.driver.run_traced`
-    when you need the telemetry object back, not just the result.
+    None defers to ``REPRO_ENGINE`` / the event default.  The system
+    carries the environment's probes (:func:`~repro.sim.system.env_probes`);
+    use :func:`repro.telemetry.driver.run_traced` for a traced run.
     """
     kwargs = {} if engine is None else {"engine": engine}
     config = SystemConfig(
@@ -132,7 +130,7 @@ def run_workload(
         inversion_bound=inversion_bound,
         **kwargs,
     )
-    system = CmpSystem(config, profiles, trace=trace)
+    system = CmpSystem(config, profiles)
     if warmup is None:
         warmup = default_warmup(cycles)
     result = system.run(cycles, warmup=warmup)
@@ -154,7 +152,7 @@ def run_workload(
                 seed=seed,
                 result=result,
                 source="fresh",
-                obs=system.obs,
+                obs=attached_obs(system),
             )
         except OSError:
             pass

@@ -8,6 +8,9 @@ The only shared resource is the SDRAM memory system, matching the
 paper's methodology: each core has private caches and a private slice
 of the physical address space (threads still contend for the same
 banks, rows, and buses through the shared address map).
+
+Observers (checker, telemetry, obs) attach in one place, as probes on
+one bus (:mod:`repro.probe`): ``CmpSystem(config, profiles, probes=...)``.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ from ..controller.request import MemoryRequest, RequestKind
 from ..cpu.core_model import OooCore
 from ..cpu.hierarchy import CacheHierarchy
 from ..dram.dram_system import DramSystem
-from ..obs import RunObs, obs_enabled, phases_enabled
+from ..obs import RunObs, obs_enabled
 from ..obs.engine import ENGINE_EXTRA_PREFIX, engine_extras
+from ..obs.phases import PhaseTimer
 from ..policy import make_policy
-from ..telemetry import RunTelemetry, trace_enabled
+from ..probe import Probe, probe_bus
 from .config import SystemConfig
 from .wakeindex import WakeIndex
 
@@ -73,6 +77,18 @@ class SimResult:
         raise KeyError(f"no thread named {name!r}")
 
 
+def env_probes() -> List[Probe]:
+    """The probes the environment asks for: ``REPRO_CHECK`` attaches a
+    :class:`~repro.check.RunChecker`, ``REPRO_OBS`` a
+    :class:`~repro.obs.RunObs` (phase timer included)."""
+    probes: List[Probe] = []
+    if checks_enabled():
+        probes.append(RunChecker())
+    if obs_enabled():
+        probes.append(RunObs())
+    return probes
+
+
 class CmpSystem:
     """A runnable CMP + memory-system instance."""
 
@@ -80,9 +96,7 @@ class CmpSystem:
         self,
         config: SystemConfig,
         profiles: Sequence,
-        check: Optional[bool] = None,
-        trace: Optional[bool] = None,
-        obs: Optional[bool] = None,
+        probes: Optional[Sequence[Probe]] = None,
     ):
         """Build a system running one workload per core.
 
@@ -92,24 +106,14 @@ class CmpSystem:
         streams — anything exposing ``name``, ``make_trace`` and
         ``prewarm_stream``.
 
-        ``check`` attaches the :mod:`repro.check` runtime validators
-        (protocol sanitizer + scheduler invariant checker) to every
-        controller; ``None`` defers to the ``REPRO_CHECK`` environment
-        variable so checked runs survive the parallel engine's process
-        pool.  Checking never changes results — only whether violations
-        raise.
-
-        ``trace`` attaches the :mod:`repro.telemetry` observers
-        (request-lifecycle tracer + interval sampler) the same way;
-        ``None`` defers to ``REPRO_TRACE``.  Tracing never changes
-        results either — hooks are pure readers.
-
-        ``obs`` attaches the :mod:`repro.obs` engine-internals metrics
-        registry (wake-index churn, legality-kernel traffic, policy-key
-        memo effectiveness; with ``REPRO_OBS_PHASES`` also event-loop
-        phase timings) the same way; ``None`` defers to ``REPRO_OBS``.
-        Another pure observer — the obs-on/off differential tests pin
-        bit-identical results.
+        ``probes`` are the :class:`~repro.probe.Probe` observers to
+        attach — the :mod:`repro.check` validators, the
+        :mod:`repro.telemetry` tracer, the :mod:`repro.obs` registry, or
+        any other.  ``None`` means :func:`env_probes`, the set the
+        environment asks for, so checked and obs runs survive the
+        parallel engine's process pool; ``()`` attaches nothing.
+        Probes never change results — hooks are pure readers, and the
+        differential tests pin probed runs bit-identical to bare ones.
         """
         if len(profiles) != config.num_cores:
             raise ValueError(
@@ -157,15 +161,6 @@ class CmpSystem:
         #: Single-channel aliases (the common case and the public API).
         self.dram = self.drams[0]
         self.controller = self.controllers[0]
-        if check is None:
-            check = checks_enabled()
-        self.check = check
-        self.checkers: List[RunChecker] = []
-        if check:
-            for controller in self.controllers:
-                checker = RunChecker(controller)
-                controller.checker = checker
-                self.checkers.append(checker)
         #: Requests in flight toward the controllers: (arrival, seq, request).
         self._to_controller: List[Tuple[int, int, MemoryRequest]] = []
         #: Fills in flight toward cores: (deliver, seq, thread, line).
@@ -256,36 +251,24 @@ class CmpSystem:
                 submit=self._make_submit(core_id),
             )
             self.cores.append(core)
-        if trace is None:
-            trace = trace_enabled()
-        #: Optional observability layer (repro.telemetry); one shared
-        #: instance fanned out to every hook site, or None (the normal
-        #: case — each site then pays one attribute test per event).
-        self.telemetry: Optional[RunTelemetry] = None
-        if trace:
-            telemetry = RunTelemetry(self)
-            self.telemetry = telemetry
-            for controller in self.controllers:
-                controller.telemetry = telemetry
-                controller.channel_scheduler.telemetry = telemetry
-                for scheduler in controller.bank_schedulers:
-                    scheduler.telemetry = telemetry
-            for core in self.cores:
-                core.telemetry = telemetry
-        if obs is None:
-            obs = obs_enabled()
-        #: Optional engine-internals observability (repro.obs); like
-        #: telemetry, one shared instance fanned out at attach time, or
-        #: None (each hot site then pays one attribute test).
-        self.obs: Optional[RunObs] = None
-        #: The phase timer alone, hoisted by the engine loops; None
-        #: unless both REPRO_OBS and REPRO_OBS_PHASES are set.
-        self._obs_phases = None
-        if obs:
-            run_obs = RunObs(phase_timing=phases_enabled())
-            self.obs = run_obs
-            self._obs_phases = run_obs.phases
-            run_obs.attach(self)
+        #: Event-loop phase timer, hoisted by the engine loops; None
+        #: unless a RunObs probe armed it at attach.
+        self.phases: Optional[PhaseTimer] = None
+        self.probes: Tuple[Probe, ...] = tuple(
+            env_probes() if probes is None else probes
+        )
+        #: The probe bus every hook site calls: None (the normal case —
+        #: each site then pays one attribute test per event), the one
+        #: probe, or a fan-out over several.
+        probe = probe_bus(self.probes)
+        self.probe = probe
+        for controller in self.controllers:
+            controller.probe = probe
+            controller.channel_scheduler.probe = probe
+        for core in self.cores:
+            core.probe = probe
+        if probe is not None:
+            probe.attach(self)
 
     #: Memoized prewarm fill sequences, keyed by (workload, seed,
     #: base address, line size).  The stream is a pure function of the
@@ -441,14 +424,15 @@ class CmpSystem:
             # indexed loop syncs on exit) and mark all wakes stale
             # after, since this full step ticks everything.
             self._sync_all(now)
-        if self.telemetry is not None:
+        probe = self.probe
+        if probe is not None and probe.next_sample <= now:
             # Sample at the top of the cycle, before any component
             # moves: both engines step every sample boundary (the event
             # engine clamps its skip targets to ``next_sample``), so on
-            # or off, per-cycle or event-driven, the sampler observes
-            # the exact same top-of-boundary state.
-            self.telemetry.maybe_sample(now)
-        phases = self._obs_phases
+            # or off, per-cycle or event-driven, probes observe the
+            # exact same top-of-boundary state.
+            probe.on_sample(now)
+        phases = self.phases
         if phases is not None:
             phases.begin("delivery")
         self._deliver_to_controller(now)
@@ -567,7 +551,7 @@ class CmpSystem:
         """Catch every deferred component up to ``now``.
 
         The barrier before anything that reads whole-system state:
-        telemetry sample boundaries, snapshots, manual ``step()``, and
+        probe sample boundaries, snapshots, manual ``step()``, and
         the end of an indexed run.
         """
         synced = self._synced
@@ -669,10 +653,10 @@ class CmpSystem:
                     windex.publish(slot, cores[slot - base].wake_time(now))
             del dirty[:]
         target = limit
-        if self.telemetry is not None:
+        if self.probe is not None:
             # Sampling deadlines are events: never skip across one, so
             # the boundary cycle is stepped and sampled at its top.
-            deadline = self.telemetry.next_sample
+            deadline = self.probe.next_sample
             if deadline <= now:
                 return now
             if deadline < target:
@@ -731,16 +715,15 @@ class CmpSystem:
         now = self.now
         windex = self._windex
         assert windex is not None
-        telemetry = self.telemetry
-        if telemetry is not None:
-            if telemetry.next_sample <= now:
-                # Samplers read whole-system state at the top of the
-                # boundary cycle: catch every deferred component up
-                # first so they observe exactly what the per-cycle
-                # engine's broadcast step would have produced.
-                self._sync_all(now)
-            telemetry.maybe_sample(now)
-        phases = self._obs_phases
+        probe = self.probe
+        if probe is not None and probe.next_sample <= now:
+            # Samplers read whole-system state at the top of the
+            # boundary cycle: catch every deferred component up first
+            # so they observe exactly what the per-cycle engine's
+            # broadcast step would have produced.
+            self._sync_all(now)
+            probe.on_sample(now)
+        phases = self.phases
         due = self._due_flag
         windex.pop_due(now, due)
         if phases is not None:
@@ -813,7 +796,7 @@ class CmpSystem:
         self.now = now + 1
 
     def _run_event(self, limit: int) -> None:
-        phases = self._obs_phases
+        phases = self.phases
         while self.now < limit:
             if phases is not None:
                 phases.begin("targeting")
@@ -825,7 +808,7 @@ class CmpSystem:
             self.engine_steps += 1
             self._event_step()
         # Leave no deferred accounting behind: measurement snapshots
-        # and checker/telemetry finalization read whole-system state.
+        # and probe finalization read whole-system state.
         self._sync_all(self.now)
 
     def run_cycles(self, cycles: int, fast_forward: bool = True) -> None:
@@ -884,21 +867,9 @@ class CmpSystem:
         before = self._snapshot()
         self.run_cycles(cycles)
         after = self._snapshot()
-        for checker in self.checkers:
-            checker.finalize(self.now)
-        if self.telemetry is not None:
-            self.telemetry.finalize(self.now)
-        if self.obs is not None:
-            self.obs.finalize(self)
+        if self.probe is not None:
+            self.probe.finalize(self)
         return self._result(before, after)
-
-    def check_summary(self) -> Dict[str, int]:
-        """Aggregate checker counters across channels (empty when off)."""
-        totals: Dict[str, int] = {}
-        for checker in self.checkers:
-            for key, value in checker.summary().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
 
     def _result(self, before: Dict[str, float], after: Dict[str, float]) -> SimResult:
         window = int(after["cycle"] - before["cycle"])

@@ -1,26 +1,25 @@
 """repro.telemetry — zero-cost-when-disabled run observability.
 
-Three layers over one :class:`RunTelemetry` object per system:
+Three layers over one :class:`RunTelemetry` probe per system:
 
 * :mod:`repro.telemetry.lifecycle` — per-request milestone tracing
   (core submit → interface-queue accept → VTMS stamp → RAS/CAS issue →
   data return → core retire-unblock) into bounded per-thread rings.
 * :mod:`repro.telemetry.sampler` — fixed-period interval metrics
   (per-thread bandwidth, queue occupancy, row-hit rate, VFT lag,
-  priority inversions) whose deadlines participate in the event
-  engine's target computation so bulk skips land exactly on sample
-  boundaries.
+  priority inversions) whose deadline is the probe's ``next_sample``,
+  so the event engine's bulk skips land exactly on sample boundaries.
 * :mod:`repro.telemetry.export` / :mod:`repro.telemetry.report` —
   Chrome/Perfetto ``trace_event`` JSON, CSV/JSONL interval dumps, and
   the ``repro-fqms report`` textual dashboard.
 
-Tracing is opt-in: pass ``--trace`` on the CLI or set ``REPRO_TRACE=1``
-(mirroring :mod:`repro.check`'s pattern).  The flag is deliberately
-*not* part of :class:`~repro.sim.config.SystemConfig`, so result-cache
-fingerprints do not fork on it; traced and untraced runs are
-bit-identical because every hook only observes, never steers.  When
-disabled, the hook sites cost one ``telemetry is None`` attribute test
-each (~0% overhead, enforced by ``benchmarks/bench_telemetry_overhead``).
+Tracing is explicit: :func:`repro.telemetry.driver.run_traced` (behind
+``repro-fqms trace`` and ``repro-fqms report``) passes a
+``RunTelemetry`` in ``CmpSystem(..., probes=...)`` and hands the probe
+back with the result.  Traced and untraced runs are bit-identical
+because every hook only observes, never steers; a run without the
+probe pays one ``probe is None`` test per hook site (~0% overhead,
+enforced by ``benchmarks/bench_telemetry_overhead``).
 
 All timestamps are simulated cycles — wall-clock or RNG use inside
 this package is a DET006 determinism-lint error.
@@ -28,10 +27,9 @@ this package is a DET006 determinism-lint error.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from .. import env
-
+from ..probe import Probe
 from .lifecycle import (
     DEFAULT_RING_CAPACITY,
     BankCommandLog,
@@ -54,18 +52,7 @@ __all__ = [
     "LifecycleTracer",
     "RequestLifecycle",
     "RunTelemetry",
-    "TRACE_ENV_VAR",
-    "trace_enabled",
-    "trace_period",
-    "trace_ring_capacity",
 ]
-
-#: Environment switch for run tracing (mirrors ``REPRO_CHECK``).
-TRACE_ENV_VAR = "REPRO_TRACE"
-#: Sampling-period override (cycles).
-TRACE_PERIOD_ENV_VAR = "REPRO_TRACE_PERIOD"
-#: Ring-capacity override (completed lifecycles retained per thread).
-TRACE_RING_ENV_VAR = "REPRO_TRACE_RING"
 
 #: Command durations drawn on the Perfetto bank tracks, by kind name;
 #: resolved against the run's DDR2 timing at record time.
@@ -77,57 +64,26 @@ _COMMAND_SPANS = {
 }
 
 
-def trace_enabled() -> bool:
-    """True when run tracing is requested via the environment.
-
-    Any value other than the empty string, ``"0"``, or ``"false"``
-    (case-insensitive) enables tracing — the same convention as
-    :func:`repro.check.checks_enabled`, and propagated the same way
-    (worker processes inherit the environment).
-    """
-    return env.flag(TRACE_ENV_VAR)
-
-
-def trace_period(default: int = DEFAULT_SAMPLE_PERIOD) -> int:
-    """Sampling period in cycles (``REPRO_TRACE_PERIOD`` or default)."""
-    return env.positive_int(TRACE_PERIOD_ENV_VAR, default)
-
-
-def trace_ring_capacity(default: int = DEFAULT_RING_CAPACITY) -> int:
-    """Per-thread lifecycle ring capacity (``REPRO_TRACE_RING`` or default)."""
-    return env.positive_int(TRACE_RING_ENV_VAR, default)
-
-
-class RunTelemetry:
+class RunTelemetry(Probe):
     """Observability state for one :class:`~repro.sim.system.CmpSystem`.
 
-    The system attaches one instance to itself, its controllers, its
-    bank/channel schedulers, and its cores; each component calls the
-    hook for its own station with a ``telemetry is not None`` guard.
-    Every hook is a pure observer: it reads simulator state and writes
-    only telemetry-owned buffers, which is what keeps traced runs
-    bit-identical to untraced runs.
+    A probe on the system's bus: the system calls each hook from its
+    own station.  Every hook is a pure observer: it reads simulator
+    state and writes only telemetry-owned buffers, which is what keeps
+    traced runs bit-identical to untraced runs.
     """
 
-    def __init__(
-        self,
-        system: "CmpSystem",
-        sample_period: Optional[int] = None,
-        ring_capacity: Optional[int] = None,
-    ):
+    def __init__(self, sample_period: int = DEFAULT_SAMPLE_PERIOD):
+        self.sampler = IntervalSampler(self, sample_period)
+        self.bank_log = BankCommandLog()
+
+    def attach(self, system: "CmpSystem") -> None:
         self.system = system
         num_threads = system.config.num_cores
-        if sample_period is None:
-            sample_period = trace_period()
-        if ring_capacity is None:
-            ring_capacity = trace_ring_capacity()
-        self.tracer = LifecycleTracer(num_threads, ring_capacity)
-        self.sampler = IntervalSampler(self, sample_period)
-        self.bank_log = BankCommandLog(ring_capacity)
+        self.tracer = LifecycleTracer(num_threads)
         #: Per-thread monotonic counters (the sampler takes deltas).
         self.first_commands: List[int] = [0] * num_threads
         self.row_hits: List[int] = [0] * num_threads
-        self.row_conflicts: List[int] = [0] * num_threads
         self.inversions: List[int] = [0] * num_threads
         #: Channel-arbitration contention counters.
         self.arbitration_rounds = 0
@@ -144,16 +100,16 @@ class RunTelemetry:
     # -- engine integration ------------------------------------------------
 
     @property
-    def next_sample(self) -> int:
+    def next_sample(self) -> int:  # type: ignore[override]
         """Next sampling deadline; folded into the event target."""
         return self.sampler.next_sample
 
-    def maybe_sample(self, now: int) -> None:
+    def on_sample(self, now: int) -> None:
         self.sampler.maybe_sample(now)
 
-    def finalize(self, now: int) -> None:
+    def finalize(self, system: "CmpSystem") -> None:
         """Flush the trailing partial interval at end of run."""
-        self.sampler.finalize(now)
+        self.sampler.finalize(system.now)
 
     # -- core-side hooks ---------------------------------------------------
 
@@ -177,14 +133,14 @@ class RunTelemetry:
 
     # -- scheduler-side hooks ----------------------------------------------
 
-    def on_bank_issue(
+    def on_command(
         self, scheduler: "BankScheduler", cand: "CandidateCommand", now: int
     ) -> None:
         """A command issued from one bank queue (stations 3 and 4).
 
-        Called by :meth:`BankScheduler.on_issue` *before* it mutates
-        queue or row state, so the inversion check sees exactly the
-        queue the selection saw.  Key recomputation goes through the
+        Called *before* :meth:`BankScheduler.on_issue` mutates queue or
+        row state, so the inversion check sees exactly the queue the
+        selection saw.  Key recomputation goes through the
         policy directly (not the per-request memo) so tracing leaves
         the scheduler's caches byte-for-byte untouched.
         """
@@ -222,8 +178,6 @@ class RunTelemetry:
             self.first_commands[thread] += 1
             if record.row_outcome == "hit":
                 self.row_hits[thread] += 1
-            elif record.row_outcome == "conflict":
-                self.row_conflicts[thread] += 1
         if inverted:
             self.inversions[thread] += 1
         if cand.kind.is_cas:

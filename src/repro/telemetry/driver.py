@@ -3,8 +3,8 @@
 ``repro-fqms trace`` and ``repro-fqms report`` go through
 :func:`run_traced`, which is the telemetry counterpart of
 :func:`repro.sim.runner.run_workload`: same configuration surface, but
-the system is built with tracing attached and the caller gets the
-telemetry object (and the per-thread fair-share bandwidth targets,
+the system is built with a :class:`RunTelemetry` probe and the caller
+gets that probe (and the per-thread fair-share bandwidth targets,
 derived the same way Figure 9 derives them: solo runs waterfilled
 through :func:`repro.stats.fair_share_targets`) back alongside the
 :class:`~repro.sim.system.SimResult`.
@@ -23,10 +23,10 @@ from typing import List, Optional, Sequence
 from ..core.shares import equal_shares
 from ..sim.config import SystemConfig
 from ..sim.runner import DEFAULT_CYCLES, default_warmup, run_solo
-from ..sim.system import CmpSystem, SimResult
+from ..sim.system import CmpSystem, SimResult, env_probes
 from ..stats.metrics import fair_share_targets
 from ..workloads.spec2000 import profile as lookup_profile
-from . import RunTelemetry
+from . import DEFAULT_SAMPLE_PERIOD, RunTelemetry
 
 
 @dataclass
@@ -73,13 +73,11 @@ def run_traced(
         inversion_bound=inversion_bound,
         **kwargs,
     )
-    system = CmpSystem(config, profiles, trace=True)
-    telemetry = system.telemetry
-    assert telemetry is not None
-    if sample_period is not None:
-        # Replace the sampler before any cycle runs; the period is a
-        # pure observation knob, so this cannot perturb the run.
-        telemetry.sampler = type(telemetry.sampler)(telemetry, sample_period)
+    telemetry = RunTelemetry(
+        DEFAULT_SAMPLE_PERIOD if sample_period is None else sample_period
+    )
+    # The environment's probes (REPRO_CHECK, REPRO_OBS) ride along.
+    system = CmpSystem(config, profiles, probes=[*env_probes(), telemetry])
     if warmup is None:
         warmup = default_warmup(cycles)
     result = system.run(cycles, warmup=warmup)

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.check import CHECK_ENV_VAR, checks_enabled
+from repro.check import CHECK_ENV_VAR, RunChecker, checks_enabled
 from repro.check.harness import DEFAULT_POLICIES, differential_report, run_checked_pair
 from repro.sim.config import SystemConfig
 from repro.sim.system import CmpSystem
@@ -48,15 +48,16 @@ class TestEnvironmentSwitch:
             SystemConfig(policy="FQ-VFTF", num_cores=2, seed=0),
             [profile("vpr"), profile("art")],
         )
-        assert system.check
-        assert len(system.checkers) == len(system.controllers)
+        (checker,) = system.probes
+        assert isinstance(checker, RunChecker)
+        assert len(checker.invariants) == len(system.controllers)
 
     def test_explicit_argument_overrides_environment(self, monkeypatch):
         monkeypatch.setenv(CHECK_ENV_VAR, "1")
         system = CmpSystem(
             SystemConfig(policy="FQ-VFTF", num_cores=2, seed=0),
             [profile("vpr"), profile("art")],
-            check=False,
+            probes=(),
         )
-        assert not system.check
-        assert system.checkers == []
+        assert system.probes == ()
+        assert system.probe is None

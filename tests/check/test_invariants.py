@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.check import InvariantViolation
+from repro.check import InvariantViolation, RunChecker
 from repro.controller.bank_scheduler import CandidateCommand
 from repro.controller.request import MemoryRequest, RequestKind
 from repro.dram.commands import CommandType
@@ -14,7 +14,12 @@ from repro.workloads.spec2000 import profile
 def checked_system(policy, cores=2):
     config = SystemConfig(policy=policy, num_cores=cores, seed=0)
     profiles = [profile(name) for name in ("vpr", "art")[:cores]]
-    return CmpSystem(config, profiles, check=True)
+    return CmpSystem(config, profiles, probes=[RunChecker()])
+
+
+def invariants(system):
+    """The invariant checker of ``system``'s first channel."""
+    return system.probe.invariants[0]
 
 
 def make_request(thread_id=0, bank=0, seq=None, vft=0.0, arrival=0):
@@ -50,27 +55,27 @@ class TestCleanRuns:
     def test_real_run_satisfies_all_invariants(self, policy):
         system = checked_system(policy)
         system.run(30_000)  # run() calls finalize(); any violation raises
-        counters = system.check_summary()
+        counters = system.probe.summary()
         assert counters["commands_checked"] > 0
         assert counters["requests_accepted"] > 0
         assert counters["requests_completed"] > 0
         assert counters["requests_completed"] <= counters["requests_retired"]
 
     def test_inversion_check_active_only_under_fq_bank_rule(self):
-        fq = checked_system("FQ-VFTF").checkers[0].invariants
-        frfcfs = checked_system("FR-FCFS").checkers[0].invariants
+        fq = invariants(checked_system("FQ-VFTF"))
+        frfcfs = invariants(checked_system("FR-FCFS"))
         assert fq.check_inversion
         assert not frfcfs.check_inversion
 
     def test_inversion_bound_defaults_to_tras(self):
         system = checked_system("FQ-VFTF")
-        checker = system.checkers[0].invariants
+        checker = invariants(system)
         assert checker.inversion_bound == system.controller.dram.timing.t_ras
 
 
 class TestConservation:
     def test_duplicate_accept(self):
-        inv = checked_system("FQ-VFTF").checkers[0].invariants
+        inv = invariants(checked_system("FQ-VFTF"))
         request = make_request()
         inv.on_accept(request, 100)
         with pytest.raises(InvariantViolation) as info:
@@ -78,13 +83,13 @@ class TestConservation:
         assert info.value.invariant == "conservation"
 
     def test_cas_for_request_never_accepted(self):
-        inv = checked_system("FQ-VFTF").checkers[0].invariants
+        inv = invariants(checked_system("FQ-VFTF"))
         with pytest.raises(InvariantViolation) as info:
             inv.on_command(cas_for(make_request()), 100)
         assert info.value.invariant == "conservation"
 
     def test_spurious_completion(self):
-        inv = checked_system("FQ-VFTF").checkers[0].invariants
+        inv = invariants(checked_system("FQ-VFTF"))
         request = make_request()
         request.completed_at = 90
         with pytest.raises(InvariantViolation) as info:
@@ -92,7 +97,7 @@ class TestConservation:
         assert info.value.invariant == "conservation"
 
     def test_delivery_before_data_transfer(self):
-        inv = checked_system("FQ-VFTF").checkers[0].invariants
+        inv = invariants(checked_system("FQ-VFTF"))
         request = make_request()
         inv.on_accept(request, 10)
         inv.on_command(cas_for(request), 20)
@@ -102,7 +107,7 @@ class TestConservation:
         assert info.value.invariant == "conservation"
 
     def test_finalize_catches_unbalanced_ledger(self):
-        inv = checked_system("FQ-VFTF").checkers[0].invariants
+        inv = invariants(checked_system("FQ-VFTF"))
         inv.accepted = 5  # claim traffic the event stream never showed
         with pytest.raises(InvariantViolation) as info:
             inv.finalize(1000)
@@ -113,7 +118,7 @@ class TestMonotonicity:
     def test_vft_register_decrease(self):
         system = checked_system("FQ-VFTF")
         system.run(30_000)
-        inv = system.checkers[0].invariants
+        inv = invariants(system)
         thread = system.controller.vtms[0]
         assert thread.bank_finish[0] > 0.0  # the run produced traffic
         thread.bank_finish[0] -= 1.0
@@ -124,7 +129,7 @@ class TestMonotonicity:
     def test_channel_register_decrease(self):
         system = checked_system("FQ-VFTF")
         system.run(30_000)
-        inv = system.checkers[0].invariants
+        inv = invariants(system)
         thread = system.controller.vtms[0]
         assert thread.channel_finish > 0.0
         thread.channel_finish -= 1.0
@@ -135,7 +140,7 @@ class TestMonotonicity:
     def test_virtual_clock_backwards(self):
         system = checked_system("FQ-VFTF")
         system.run(30_000)
-        inv = system.checkers[0].invariants
+        inv = invariants(system)
         assert inv._clock_shadow > 0.0
         # The live clock may have advanced past the last observation, so
         # rewind it below the checker's shadow to model a backwards step.
@@ -147,7 +152,7 @@ class TestMonotonicity:
 
 class TestBoundedInversion:
     def test_committed_bank_must_serve_earliest_vft(self):
-        inv = checked_system("FQ-VFTF").checkers[0].invariants
+        inv = invariants(checked_system("FQ-VFTF"))
         urgent = make_request(thread_id=0, vft=10.0, arrival=0)
         laggard = make_request(thread_id=1, vft=50.0, arrival=1)
         inv.on_accept(urgent, 10)
@@ -161,7 +166,7 @@ class TestBoundedInversion:
         assert info.value.invariant == "bounded-inversion"
 
     def test_before_the_bound_any_order_is_legal(self):
-        inv = checked_system("FQ-VFTF").checkers[0].invariants
+        inv = invariants(checked_system("FQ-VFTF"))
         urgent = make_request(thread_id=0, vft=10.0, arrival=0)
         laggard = make_request(thread_id=1, vft=50.0, arrival=1)
         inv.on_accept(urgent, 10)
@@ -173,7 +178,7 @@ class TestBoundedInversion:
         assert inv.retired == 1
 
     def test_committed_bank_serving_earliest_is_legal(self):
-        inv = checked_system("FQ-VFTF").checkers[0].invariants
+        inv = invariants(checked_system("FQ-VFTF"))
         urgent = make_request(thread_id=0, vft=10.0, arrival=0)
         laggard = make_request(thread_id=1, vft=50.0, arrival=1)
         inv.on_accept(urgent, 10)

@@ -1,4 +1,5 @@
-"""Controller introspection: command log and latency histograms."""
+"""Controller introspection: issued commands (via a probe) and
+latency histograms."""
 
 import pytest
 
@@ -9,6 +10,8 @@ from repro.core.policies import get_policy
 from repro.dram.commands import CommandType
 from repro.dram.dram_system import DramSystem
 from repro.dram.timing import DDR2Timing
+
+from .command_log import log_commands
 
 AMAP = AddressMap()
 
@@ -35,19 +38,19 @@ class TestCommandLog:
     def test_disabled_by_default(self):
         controller, _ = make_controller()
         run_request(controller)
-        assert controller.command_log is None
+        assert controller.probe is None
 
     def test_golden_closed_page_read_sequence(self):
         controller, timing = make_controller()
-        controller.enable_command_log()
+        log = log_commands(controller)
         run_request(controller)
-        kinds = [entry.kind for entry in controller.command_log]
+        kinds = [entry.kind for entry in log.commands]
         assert kinds == [
             CommandType.ACTIVATE,
             CommandType.READ,
             CommandType.PRECHARGE,  # closed-page auto-precharge
         ]
-        act, read, pre = controller.command_log
+        act, read, pre = log.commands
         assert act.cycle == 0
         assert read.cycle == timing.t_rcd
         assert pre.cycle >= timing.t_ras
@@ -55,7 +58,7 @@ class TestCommandLog:
 
     def test_row_hit_sequence_has_single_activate(self):
         controller, timing = make_controller()
-        controller.enable_command_log()
+        log = log_commands(controller)
         for column in range(3):
             request = MemoryRequest(
                 thread_id=0, kind=RequestKind.READ,
@@ -64,21 +67,10 @@ class TestCommandLog:
             controller.try_enqueue(request)
         for now in range(800):
             controller.tick(now)
-        kinds = [e.kind for e in controller.command_log]
+        kinds = [e.kind for e in log.commands]
         assert kinds.count(CommandType.ACTIVATE) == 1
         assert kinds.count(CommandType.READ) == 3
         assert kinds.count(CommandType.PRECHARGE) == 1
-
-    def test_bounded_capacity(self):
-        controller, _ = make_controller()
-        controller.enable_command_log(capacity=2)
-        run_request(controller)
-        assert len(controller.command_log) == 2  # oldest entries dropped
-
-    def test_rejects_bad_capacity(self):
-        controller, _ = make_controller()
-        with pytest.raises(ValueError):
-            controller.enable_command_log(capacity=0)
 
 
 class TestLatencyHistogram:

@@ -10,6 +10,8 @@ from repro.dram.commands import CommandType
 from repro.dram.dram_system import DramSystem
 from repro.dram.timing import DDR2Timing
 
+from .command_log import log_commands
+
 AMAP = AddressMap()
 
 
@@ -46,7 +48,7 @@ class TestValidation:
 class TestGating:
     def test_writes_held_while_reads_pending_below_watermark(self):
         controller = make_controller()
-        controller.enable_command_log()
+        log = log_commands(controller)
         # Two writes (below the high watermark of 6) and a stream of
         # reads: the reads must all issue before any write.
         for column in range(2):
@@ -55,7 +57,7 @@ class TestGating:
             controller.try_enqueue(req(RequestKind.READ, 1, 5, column))
         for now in range(3_000):
             controller.tick(now)
-        kinds = [e.kind for e in controller.command_log]
+        kinds = [e.kind for e in log.commands]
         first_write = kinds.index(CommandType.WRITE)
         assert kinds[:first_write].count(CommandType.READ) == 4
 

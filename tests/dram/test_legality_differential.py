@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.check import RunChecker
 from repro.dram.commands import CommandType
 from repro.dram.dram_system import DramSystem
 from repro.dram.legality import (
@@ -110,7 +111,7 @@ def test_checked_run_kernel_matches_oracle(benchmarks, engine):
         num_cores=len(benchmarks), policy="FQ-VFTF", seed=0, engine=engine
     )
     profiles = [profile(name) for name in benchmarks]
-    system = CmpSystem(config, profiles, check=True)
+    system = CmpSystem(config, profiles, probes=[RunChecker()])
     _instrument(system)
     system.run(6_000)
     stats = system.controllers[0].stats

@@ -1,9 +1,10 @@
 """Shared fixtures for the repro.lint test suite.
 
 ``project_of`` builds an in-memory :class:`repro.lint.Project` from a
-``{relative_path: source}`` mapping (no disk I/O, so pass unit tests
-stay fast), and ``run_rule`` drives exactly one registered pass over a
-project and returns its raw findings (no suppression filtering — that
+``{relative_path: source}`` mapping (no disk I/O beyond an empty
+per-test root, so pass unit tests stay fast and hermetic), and
+``run_rule`` drives exactly one registered pass over a project and
+returns its raw findings (no suppression filtering — that
 is :func:`repro.lint.run_lint`'s job and is tested separately).
 """
 
@@ -18,13 +19,15 @@ from repro.lint.registry import resolve
 
 
 @pytest.fixture
-def project_of():
+def project_of(tmp_path):
     def build(files, root=None):
         sources = [
             SourceFile(Path(path), source=textwrap.dedent(source))
             for path, source in files.items()
         ]
-        return Project(sources, root=root)
+        # An empty root by default, so a synthetic project never reads
+        # this repository's own README/INTERNALS as its docs.
+        return Project(sources, root=tmp_path if root is None else root)
 
     return build
 

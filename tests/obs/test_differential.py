@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-from repro.obs import OBS_PHASES_ENV_VAR
+from repro.obs import RunObs, attached_obs
 from repro.policy import HEADLINE_POLICIES
 from repro.sim.config import SystemConfig
 from repro.sim.system import CmpSystem
@@ -29,7 +29,7 @@ def _run(policy: str, engine: str, obs: bool):
     config = SystemConfig(
         num_cores=len(profiles), policy=policy, engine=engine
     )
-    system = CmpSystem(config, profiles, obs=obs)
+    system = CmpSystem(config, profiles, probes=[RunObs()] if obs else [])
     result = system.run(CYCLES, warmup=WARMUP)
     return system, result
 
@@ -41,13 +41,13 @@ def test_obs_run_is_bit_identical(engine, policy):
     system, observed = _run(policy, engine, obs=True)
     assert dataclasses.asdict(observed) == dataclasses.asdict(baseline)
     # The run actually carried the registry and harvested something.
-    assert system.obs is not None
-    assert len(system.obs.registry) > 0
+    assert attached_obs(system) is not None
+    assert len(attached_obs(system).registry) > 0
 
 
 def test_obs_off_attaches_nothing():
     system, _ = _run("FQ-VFTF", "event", obs=False)
-    assert system.obs is None
+    assert system.probe is None and system.phases is None
     for controller in system.controllers:
         for scheduler in controller.bank_schedulers:
             assert scheduler.obs_keys is None
@@ -55,21 +55,21 @@ def test_obs_off_attaches_nothing():
         assert dram.kernel.counters is None
 
 
-def test_phase_timer_keeps_bit_identity(monkeypatch):
+def test_phase_timer_keeps_bit_identity():
     _, baseline = _run("FQ-VFTF", "event", obs=False)
-    monkeypatch.setenv(OBS_PHASES_ENV_VAR, "1")
     system, observed = _run("FQ-VFTF", "event", obs=True)
     assert dataclasses.asdict(observed) == dataclasses.asdict(baseline)
-    totals = system.obs.phases.totals()
+    obs = attached_obs(system)
+    totals = obs.phases.totals()
     assert totals, "armed phase timer recorded nothing"
     assert all(elapsed >= 0.0 for elapsed in totals.values())
     # Harvested under the _s timer convention.
-    assert any(name.startswith("phase.") for name in system.obs.metrics())
+    assert any(name.startswith("phase.") for name in obs.metrics())
 
 
 def test_memoizing_policy_counts_key_cache_traffic():
     system, _ = _run("FQ-VFTF", "event", obs=True)
-    keys = system.obs.keys
+    keys = attached_obs(system).keys
     assert keys.misses > 0, "every request's first key build is a miss"
     assert keys.hits > 0, "re-scheduling passes must hit the memo"
     assert keys.uncached == 0
@@ -77,12 +77,12 @@ def test_memoizing_policy_counts_key_cache_traffic():
 
 def test_non_memoizing_policy_counts_uncached_builds():
     system, _ = _run("BLISS", "event", obs=True)
-    keys = system.obs.keys
+    keys = attached_obs(system).keys
     assert keys.uncached > 0
     assert keys.hits == 0 and keys.misses == 0
 
 
 def test_legality_kernel_traffic_is_harvested():
     system, _ = _run("FQ-VFTF", "event", obs=True)
-    metrics = system.obs.metrics()
+    metrics = attached_obs(system).metrics()
     assert metrics.get("legality.queries", 0) > 0

@@ -72,6 +72,5 @@ class TestRunObs:
         obs.finalize(_System())
         assert obs.metrics() == {}
 
-    def test_phase_timer_only_when_armed(self):
-        assert RunObs().phases is None
-        assert RunObs(phase_timing=True).phases is not None
+    def test_phase_timer_always_armed(self):
+        assert RunObs().phases is not None

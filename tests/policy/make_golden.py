@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.check import RunChecker
 from repro.sim.cache import result_to_json
 from repro.sim.config import SystemConfig
 from repro.sim.system import CmpSystem, comparable_result
@@ -49,9 +50,9 @@ def run_matrix() -> dict:
                         engine=engine,
                     )
                     profiles = [profile(name) for name in names]
-                    result = CmpSystem(config, profiles, check=True).run(
-                        CYCLES, warmup=WARMUP
-                    )
+                    result = CmpSystem(
+                        config, profiles, probes=[RunChecker()]
+                    ).run(CYCLES, warmup=WARMUP)
                     key = f"{policy}|{engine}|seed{seed}|{tag}"
                     # Engine step counts are instrumentation, not results;
                     # the golden freezes what the simulation *computed*.

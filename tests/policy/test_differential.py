@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+from repro.check import RunChecker
 from repro.check.harness import (
     DEFAULT_POLICIES,
     QUAD_WORKLOAD,
@@ -52,8 +53,9 @@ def test_inversion_invariant_disarmed_for_non_fq_policies(policy):
 
     config = SystemConfig(num_cores=2, policy=policy, seed=0)
     profiles = [profile("vpr"), profile("art")]
-    system = CmpSystem(config, profiles, check=True)
-    assert not system.checkers[0].invariants.check_inversion
+    checker = RunChecker()
+    CmpSystem(config, profiles, probes=[checker])
+    assert not checker.invariants[0].check_inversion
 
 
 @pytest.mark.parametrize("policy", STATEFUL)
@@ -89,7 +91,9 @@ def test_engine_identity_across_interval_lengths(policy):
             slowdown_interval=700,
         )
         results.append(
-            CmpSystem(config, profiles, check=True).run(CYCLES, warmup=500)
+            CmpSystem(config, profiles, probes=[RunChecker()]).run(
+                CYCLES, warmup=500
+            )
         )
     assert dataclasses.asdict(
         comparable_result(results[0])

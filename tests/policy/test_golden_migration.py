@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.check import RunChecker
 from repro.sim.cache import result_to_json
 from repro.sim.config import SystemConfig
 from repro.sim.system import CmpSystem, comparable_result
@@ -38,7 +39,7 @@ def test_migrated_policy_is_bit_identical(key, policy, engine, seed, tag):
         num_cores=len(names), policy=policy, seed=seed, engine=engine
     )
     profiles = [profile(name) for name in names]
-    result = CmpSystem(config, profiles, check=True).run(
+    result = CmpSystem(config, profiles, probes=[RunChecker()]).run(
         GOLDEN["cycles"], warmup=GOLDEN["warmup"]
     )
     # Through serialized text, exactly as the golden was written.

@@ -14,6 +14,7 @@ import dataclasses
 
 import pytest
 
+from repro.check import RunChecker
 from repro.check.harness import DEFAULT_POLICIES, QUAD_WORKLOAD, run_engine_pair
 from repro.sim.config import SystemConfig
 from repro.sim.system import CmpSystem, comparable_result
@@ -59,16 +60,17 @@ class TestFastForwardFlag:
         the configured engine, and still matches the event engine."""
         profiles = [profile(name) for name in PAIR]
         config = SystemConfig(policy="FQ-VFTF", num_cores=2, engine="event")
-        forced = CmpSystem(config, profiles, check=True)
+        forced = CmpSystem(config, profiles, probes=[RunChecker()])
         forced.run_cycles(WARMUP, fast_forward=False)
         before = forced._snapshot()
         forced.run_cycles(CYCLES, fast_forward=False)
         after = forced._snapshot()
         assert forced.engine_steps == 0
         assert forced.engine_cycles_skipped == 0
-        for checker in forced.checkers:
-            checker.finalize(forced.now)
+        forced.probe.finalize(forced)
         forced_result = forced._result(before, after)
 
-        event = CmpSystem(config, profiles, check=True).run(CYCLES, warmup=WARMUP)
+        event = CmpSystem(config, profiles, probes=[RunChecker()]).run(
+            CYCLES, warmup=WARMUP
+        )
         assert _as_dict(event) == _as_dict(forced_result)

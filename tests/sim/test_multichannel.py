@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check import RunChecker
 from repro.controller.address_map import AddressMap
 from repro.sim.config import SystemConfig
 from repro.sim.system import CmpSystem
@@ -87,3 +88,16 @@ class TestMultiChannelSystem:
             return tuple(t.instructions for t in result.threads)
 
         assert run_once() == run_once()
+
+    def test_checker_routes_each_channel_to_its_own_ledgers(self):
+        checker = RunChecker()
+        config = SystemConfig(num_cores=2, num_channels=2, policy="FQ-VFTF")
+        system = CmpSystem(config, [HEAVY, profile("art")], probes=[checker])
+        system.run(8_000, warmup=0)  # a cross-channel mix-up raises
+        for protocol, invariants, controller in zip(
+            checker.protocols, checker.invariants, system.controllers
+        ):
+            issued = sum(controller.stats.commands_issued.values())
+            assert issued > 0
+            assert protocol.commands_checked == issued
+            assert invariants.accepted == sum(controller.stats.requests_accepted)

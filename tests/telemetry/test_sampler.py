@@ -74,11 +74,12 @@ class TestTraceDeterminism:
     @pytest.mark.parametrize("engine", ["cycle", "event"])
     def test_simresult_bit_identical_traced_vs_untraced(self, policy, engine):
         untraced = run_workload(
-            pair(), policy, cycles=CYCLES, warmup=WARMUP, engine=engine, trace=False
+            pair(), policy, cycles=CYCLES, warmup=WARMUP, engine=engine
         )
-        traced = run_workload(
-            pair(), policy, cycles=CYCLES, warmup=WARMUP, engine=engine, trace=True
-        )
+        traced = run_traced(
+            pair(), policy, cycles=CYCLES, warmup=WARMUP, engine=engine,
+            with_targets=False,
+        ).result
         # Engine step counters legitimately differ under the event
         # engine (sample boundaries force extra steps), so compare the
         # computed results; under the cycle engine even the raw
