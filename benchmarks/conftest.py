@@ -9,9 +9,9 @@ the session-scoped fixtures below make the sharing explicit, so
 Run length follows ``REPRO_SIM_CYCLES`` (default 60,000 cycles of
 measurement per run, preceded by a 25% warmup).  Independent runs fan
 out across ``REPRO_JOBS`` worker processes, and completed runs persist
-in the on-disk result cache (``REPRO_CACHE_DIR``, disable with
-``REPRO_NO_CACHE=1``), so a re-invocation at the same settings replays
-from disk instead of re-simulating.
+as run manifests in the result store at ``REPRO_CACHE_DIR`` (disable
+with ``REPRO_NO_CACHE=1``), so a re-invocation at the same settings
+replays from disk instead of re-simulating.
 """
 
 import pytest

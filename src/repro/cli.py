@@ -58,28 +58,20 @@ from .sim.runner import DEFAULT_CYCLES
 FIGURES = ("figure1", "figure4", "figure5", "figure6", "figure7", "figure8", "figure9")
 
 
-def _run_figure(
-    name: str,
-    cycles: int,
-    seed: int,
-    jobs: Optional[int] = None,
-    store: Optional[Any] = None,
-):
+def _run_figure(name: str, cycles: int, seed: int, jobs: Optional[int] = None):
     if name == "figure1":
-        return run_figure1(cycles=cycles, seed=seed, jobs=jobs, store=store)
+        return run_figure1(cycles=cycles, seed=seed, jobs=jobs)
     if name == "figure4":
-        return run_figure4(cycles=cycles, seed=seed, jobs=jobs, store=store)
+        return run_figure4(cycles=cycles, seed=seed, jobs=jobs)
     if name in ("figure5", "figure6", "figure7"):
-        outcomes = run_pairs(cycles=cycles, seed=seed, jobs=jobs, store=store)
+        outcomes = run_pairs(cycles=cycles, seed=seed, jobs=jobs)
         runner = {"figure5": run_figure5, "figure6": run_figure6, "figure7": run_figure7}
         return runner[name](outcomes=outcomes)
     if name in ("figure8", "figure9"):
-        outcomes = run_quads(cycles=cycles, seed=seed, jobs=jobs, store=store)
+        outcomes = run_quads(cycles=cycles, seed=seed, jobs=jobs)
         if name == "figure8":
             return run_figure8(outcomes=outcomes)
-        return run_figure9(
-            cycles=cycles, seed=seed, outcomes=outcomes, jobs=jobs, store=store
-        )
+        return run_figure9(cycles=cycles, seed=seed, outcomes=outcomes, jobs=jobs)
     raise ValueError(f"unknown figure {name!r}")
 
 
@@ -250,22 +242,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--cache-dir",
         metavar="PATH",
         default=None,
-        help="persistent result-cache directory (default REPRO_CACHE_DIR "
-        "or ~/.cache/repro-fqms)",
+        help="result-store root: runs already stored there are served "
+        "from it, fresh runs are recorded into it (default REPRO_CACHE_DIR "
+        "or ~/.cache/repro-fqms; pass ROOT/store to share the store "
+        "'repro-fqms serve/results --root ROOT' use)",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the persistent result cache for this invocation",
-    )
-    parser.add_argument(
-        "--store",
-        metavar="ROOT",
-        default=None,
-        help="serve-service root whose result store figures/compare read "
-        "through and record into (the directory 'repro-fqms serve --root' "
-        "and 'repro-fqms results --root' use); runs already in the store "
-        "are served from it, fresh runs become queryable",
+        help="disable the result store for this invocation",
     )
     parser.add_argument(
         "--check",
@@ -356,16 +341,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # (never in cache fingerprints: it cannot change results).
         os.environ["REPRO_OBS"] = "1"
     configure_cache(cache_dir=args.cache_dir, enabled=not args.no_cache)
-    store = None
-    if args.store:
-        from pathlib import Path
-
-        from .serve.store import ResultStore
-
-        # Same layout the serve family uses: manifests + index live
-        # under <root>/store, so 'repro-fqms results --root <ROOT>'
-        # queries whatever the figures just recorded.
-        store = ResultStore(Path(args.store) / "store")
 
     targets = FIGURES + ("ablations",) if args.experiment == "all" else (args.experiment,)
     json_payloads = []
@@ -391,16 +366,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 cycles=args.cycles,
                 seed=args.seed,
                 jobs=args.jobs,
-                store=store,
             )
             body = render_fairness(outcomes)
             payload = fairness_payload(outcomes)
             payload["figure"] = "compare"
             json_payloads.append(payload)
         else:
-            result = _run_figure(
-                target, args.cycles, args.seed, jobs=args.jobs, store=store
-            )
+            result = _run_figure(target, args.cycles, args.seed, jobs=args.jobs)
             body = result.render()
             json_payloads.append(_figure_json(target, result))
         elapsed = time.time() - started  # det: allow(wall-clock)

@@ -38,8 +38,10 @@ class MemoryRequest:
         address: Physical byte address of the cache line.
         arrival_time: Cycle the request arrived at the memory controller.
         rank / bank / row / column: Decoded SDRAM coordinates.
-        seq: Global monotonically increasing tie-breaker; two requests
-            never compare equal under FCFS ordering.
+        seq: Monotonically increasing tie-breaker; two requests never
+            compare equal under FCFS ordering.  A system's cores number
+            their requests from one per-system counter; a request built
+            directly (unit tests) draws from a module-wide one.
         virtual_arrival: Arrival time on the FQ scheduler's real clock
             (which pauses during refresh periods).
         virtual_finish_time: Most recent VTMS finish-time estimate; set

@@ -114,11 +114,16 @@ class OooCore:
         trace: Iterator[TraceRecord],
         hierarchy: CacheHierarchy,
         submit: SubmitFn,
+        next_seq: Callable[[], int],
     ):
         self.core_id = core_id
         self.config = config
         self.hierarchy = hierarchy
         self.submit = submit
+        #: Numbers this core's requests (``MemoryRequest.seq``).  A
+        #: system shares one counter among its cores, so the numbering
+        #: depends on that system's run alone.
+        self._next_seq = next_seq
         self.stats = CoreStats()
         #: The system's probe bus (repro.probe); None in normal runs,
         #: so submit/fill hooks cost one attribute test each.
@@ -236,6 +241,7 @@ class OooCore:
                 kind=RequestKind.WRITE,
                 address=self.hierarchy.line_address(line),
                 arrival_time=now,
+                seq=self._next_seq(),
             )
             if not self.submit(request):
                 self.stats.nacks += 1
@@ -311,6 +317,7 @@ class OooCore:
                 kind=RequestKind.READ,
                 address=self.hierarchy.line_address(result.line),
                 arrival_time=now,
+                seq=self._next_seq(),
             )
             if not self.submit(request):
                 self.stats.nacks += 1
@@ -339,6 +346,7 @@ class OooCore:
                 kind=RequestKind.READ,
                 address=self.hierarchy.line_address(line),
                 arrival_time=now,
+                seq=self._next_seq(),
                 prefetch=True,
             )
             if not self.submit(request):

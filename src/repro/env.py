@@ -76,17 +76,13 @@ ENV_VARS = (
     EnvVar(
         "REPRO_CACHE_DIR",
         fingerprint_relevant=False,
-        description="Result-cache root directory.",
+        description="Result-store root directory.",
     ),
     EnvVar(
         "REPRO_NO_CACHE",
         fingerprint_relevant=False,
-        description="Disables the on-disk result cache entirely.",
-    ),
-    EnvVar(
-        "REPRO_MEMO_CAP",
-        fingerprint_relevant=False,
-        description="Upper bound on in-process memoized results (LRU).",
+        description="Disables the result store (the in-process memo "
+        "stays).",
     ),
     EnvVar(
         "REPRO_BENCH_STRICT",

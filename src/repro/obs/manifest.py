@@ -311,13 +311,6 @@ def run_manifest(
         metrics[f"thread.{i}.mean_read_latency"] = thread.mean_read_latency
     for key, value in result.extras.items():
         metrics[f"extras.{key}"] = float(value)
-    from ..sim.cache import active_cache  # lazy: avoids import cycle
-
-    disk = active_cache()
-    if disk is not None:
-        metrics["result_cache.hits"] = float(disk.hits)
-        metrics["result_cache.misses"] = float(disk.misses)
-        metrics["result_cache.stores"] = float(disk.stores)
     result_field: Dict[str, Any] = {"digest": result_digest(result)}
     if embed_result:
         from ..sim.cache import result_to_json  # lazy: avoids import cycle

@@ -20,9 +20,11 @@ Layout (one concern per module, mirroring ``repro.obs``):
   :class:`~repro.sim.parallel.RunSpec` lists.
 * :mod:`repro.serve.queue` — the fair job scheduler: per-tenant
   virtual start/finish tags, weighted by configurable shares.
-* :mod:`repro.serve.store` — the queryable result store: append-only
-  directory of ``repro.obs/1`` run manifests plus an index, with
-  filter/aggregate queries; pluggable into ``run_many(store=...)``.
+* :mod:`repro.serve.store` — the result store, the one durable result
+  layer: append-only directory of ``repro.obs/1`` run manifests plus an
+  index, with filter/aggregate queries.  The lookup path of
+  :mod:`repro.sim.cache` fronts it with the in-process memo, for the
+  process-wide store, ``run_many(store=...)`` and the service alike.
 * :mod:`repro.serve.service` — the asyncio orchestrator: worker
   subprocess pool, per-job timeouts, crash detection with bounded
   retry/backoff, graceful drain, fleet dashboard state, per-tenant

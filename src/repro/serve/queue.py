@@ -48,7 +48,7 @@ class Job:
     __slots__ = (
         "job_id", "tenant", "spec", "cost", "start_tag", "finish_tag",
         "attempts", "state", "submitted_s", "started_s", "busy_s",
-        "error",
+        "error", "key",
     )
 
     def __init__(
@@ -68,6 +68,8 @@ class Job:
         self.started_s = 0.0
         self.busy_s = 0.0
         self.error: Optional[str] = None
+        #: The spec's result-store key, computed once at submission.
+        self.key: Optional[str] = None
 
 
 class TenantAccount:

@@ -9,12 +9,14 @@ and is detected by the parent as :class:`~repro.sim.retry.
 WorkerCrashError`, classified and resubmitted with the same bounded
 :class:`~repro.sim.retry.RetryPolicy` backoff ``run_many`` uses.
 
-Caching is layered exactly like ``run_many``: memo → disk cache →
-result store, checked at submit *and* again at dispatch (so duplicate
-jobs queued concurrently — two tenants submitting overlapping grids —
-collapse to one simulation and the rest serve as ``cached``).  Every
-completed result lands in all three layers, which is what makes a
-resubmitted sweep 100% cache-served.
+Results go through the same lookup path as ``run_many``
+(:class:`repro.sim.cache.ResultCache`): the process memo in front of
+the service's own store at ``<root>/store``, checked at submit *and*
+again at dispatch (so duplicate jobs queued concurrently — two tenants
+submitting overlapping grids — collapse to one simulation and the
+rest serve as ``cached``).  Every completed result lands in the memo
+and the store, which is what makes a resubmitted sweep 100%
+cache-served.  Each job's fingerprint is computed once, at submit.
 
 Live progress reuses the PR 9 fleet machinery verbatim: workers
 heartbeat simulated-cycle progress over a Manager queue into a
@@ -34,8 +36,8 @@ from typing import Any, Dict, List, Optional
 from .. import env
 from ..obs import fleet
 from ..obs.registry import MetricsRegistry
-from ..sim import cache as result_cache
 from ..sim import parallel
+from ..sim.cache import ResultCache
 from ..sim.retry import RetryPolicy, WorkerCrashError
 from ..sim.system import SimResult
 from . import clock
@@ -200,6 +202,8 @@ class ExperimentService:
             retry_policy if retry_policy is not None else RetryPolicy.from_env()
         )
         self.store = ResultStore(self.root / "store")
+        #: memo → ``store``: the one result lookup path.
+        self.cache = ResultCache(self.store)
         self.queue = FairJobQueue()
         self.state = fleet.FleetState()
         self.registry = MetricsRegistry()
@@ -281,13 +285,15 @@ class ExperimentService:
         queued: List[int] = []
         cached = 0
         for spec in specs:
-            hit = self._lookup(spec)
+            key = self.cache.key(spec)
+            hit = self.cache.get(spec, key)
             if hit is not None:
-                self.store.record(spec, hit, source="cache", tenant=tenant)
+                self.cache.put(spec, hit, key, source="cache", tenant=tenant)
                 self._observe(parallel.run_label(spec), "cached", spec)
                 cached += 1
                 continue
             job = self.queue.submit(tenant, spec, job_cost(spec))
+            job.key = key
             job.submitted_s = clock.monotonic()
             self.jobs[job.job_id] = job
             self.state.expect(self._run_id(job))
@@ -305,24 +311,6 @@ class ExperimentService:
             "cached": cached,
             "job_ids": queued,
         }
-
-    def _lookup(self, spec: parallel.RunSpec) -> Optional[SimResult]:
-        """Memo → disk → store, write-back on the colder hits."""
-        from ..sim import runner
-
-        hit = runner.memo_get(spec)
-        if hit is not None:
-            return hit
-        disk = result_cache.active_cache()
-        if disk is not None:
-            hit = disk.get(spec.fingerprint())
-        if hit is None:
-            hit = self.store.get_result(spec)
-            if hit is not None and disk is not None:
-                disk.put(spec.fingerprint(), hit)
-        if hit is not None:
-            runner.memo_put(spec, hit)
-        return hit
 
     # -- scheduling --------------------------------------------------------
 
@@ -362,10 +350,10 @@ class ExperimentService:
         run_id = self._run_id(job)
         # Dispatch-time dedupe: a duplicate queued while its twin ran
         # is served from the caches the twin just filled.
-        hit = self._lookup(job.spec)
+        hit = self.cache.get(job.spec, job.key)
         if hit is not None:
-            self.store.record(
-                job.spec, hit, source="cache",
+            self.cache.put(
+                job.spec, hit, job.key, source="cache",
                 tenant=job.tenant, attempts=job.attempts,
             )
             job.state = "cached"
@@ -398,7 +386,10 @@ class ExperimentService:
             return
         finished_s = clock.monotonic()
         job.busy_s += finished_s - job.started_s
-        self._record_success(job, result)
+        self.cache.put(
+            job.spec, result, job.key, source="fresh",
+            tenant=job.tenant, attempts=job.attempts - 1,
+        )
         self.queue.charge(job, job.busy_s, finished_s - job.submitted_s)
         job.state = "done"
         self.counts["done"] += 1
@@ -426,18 +417,6 @@ class ExperimentService:
         if delay_s > 0:
             await asyncio.sleep(delay_s)
         self.queue.requeue(job)
-
-    def _record_success(self, job: Job, result: SimResult) -> None:
-        from ..sim import runner
-
-        runner.memo_put(job.spec, result)
-        disk = result_cache.active_cache()
-        if disk is not None:
-            disk.put(job.spec.fingerprint(), result)
-        self.store.record(
-            job.spec, result, source="fresh",
-            tenant=job.tenant, attempts=job.attempts - 1,
-        )
 
     def _finish(self, job: Job) -> None:
         self._outstanding -= 1

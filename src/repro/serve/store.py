@@ -1,29 +1,28 @@
-"""The queryable result store: durable manifests plus an index.
+"""The result store: durable manifests plus an index.
 
-``run_many`` and the figure drivers historically left results in two
-places results go to be forgotten: an in-process memo and a
-content-addressed disk cache keyed by opaque fingerprints.  The store
-is the third, *queryable* layer: an append-only directory of
-``repro.obs/1`` run manifests (one per distinct run, fingerprint-named,
-each embedding the declarative spec and the full cache-canonical
-result payload) plus a line-oriented index for cheap filtering.
+This is the one durable result layer.  The lookup path of
+:mod:`repro.sim.cache` puts the in-process memo in front of one store:
+the process-wide one at ``REPRO_CACHE_DIR``, the one a caller hands to
+``run_many(store=...)``, or the experiment service's ``<root>/store``.
+The store is an append-only directory of ``repro.obs/1`` run manifests
+(one per distinct run, fingerprint-named, each embedding the
+declarative spec and the full cache-canonical result payload) plus a
+line-oriented index for cheap filtering.
 
 Layout under ``root``::
 
     runs/run-<fp16>.json   # schema-validated manifests (atomic writes)
     index.jsonl            # one JSON line per recorded run
 
-The index is a pure acceleration structure: :meth:`ResultStore.rebuild`
+A lookup by fingerprint (:meth:`ResultStore.get_result`) reads
+``runs/run-<fp16>.json`` directly and checks the full fingerprint
+inside, so it sees runs that other processes recorded after this
+store was opened.  The index accelerates :meth:`ResultStore.query` and
+:meth:`ResultStore.aggregate` only: :meth:`ResultStore.rebuild`
 regenerates it from the manifests alone, and a corrupted or truncated
 line (or manifest) is tolerated — skipped, counted, and reported via
 :attr:`ResultStore.problems` — never fatal.  Records are idempotent by
 fingerprint, so resubmitting a sweep converges instead of accumulating.
-
-The store plugs into ``run_many(store=...)`` through the two-method
-duck type it defined: :meth:`get_result` (cache layer 3) and
-:meth:`record` (write-back).  The fairness tournament and the figure
-drivers pass a store through, so every evaluation run lands in one
-queryable place.
 """
 
 from __future__ import annotations
@@ -188,24 +187,47 @@ class ResultStore:
         tmp.write_text(blob)
         os.replace(tmp, self.index_path)
 
-    # -- the run_many duck type -------------------------------------------
+    # -- lookup and write-back ---------------------------------------------
 
-    def get_result(self, spec: RunSpec) -> Optional[SimResult]:
-        """The stored result for ``spec``, or None (damage counts as miss)."""
-        entry = self._entries.get(spec.fingerprint())
-        if entry is None:
-            return None
-        path = self.runs_dir / entry.file
+    def get_result(
+        self, spec: RunSpec, fingerprint: Optional[str] = None
+    ) -> Optional[SimResult]:
+        """The stored result for ``spec``, or None (damage counts as miss).
+
+        Reads the manifest by name rather than through the index, so a
+        run recorded by another process since this store was opened is
+        found (and indexed here).  The file name keeps 16 hex digits of
+        the fingerprint; a manifest holding a different full one is a
+        miss.  ``fingerprint`` saves recomputing ``spec.fingerprint()``.
+        """
+        if fingerprint is None:
+            fingerprint = spec.fingerprint()
+        name = f"run-{fingerprint[:16]}.json"
         try:
-            manifest = load_manifest(path)
-            payload = manifest["result"]["payload"]
-            return result_from_json(payload)
-        except (OSError, ManifestError, ValueError, KeyError, TypeError) as exc:
-            self.problems.append(
-                f"{RUNS_DIR}/{entry.file}: result unreadable "
-                f"({type(exc).__name__}); treated as a miss"
-            )
+            manifest = load_manifest(self.runs_dir / name)
+        except FileNotFoundError:
             return None
+        except (OSError, ValueError) as exc:
+            self._unreadable(name, exc)
+            return None
+        if manifest["fingerprint"] != fingerprint:
+            return None
+        try:
+            result = result_from_json(manifest["result"]["payload"])
+            if fingerprint not in self._entries:
+                self._entries[fingerprint] = self._entry_from_manifest(
+                    name, manifest
+                )
+        except (ValueError, KeyError, TypeError) as exc:
+            self._unreadable(name, exc)
+            return None
+        return result
+
+    def _unreadable(self, name: str, exc: Exception) -> None:
+        self.problems.append(
+            f"{RUNS_DIR}/{name}: result unreadable "
+            f"({type(exc).__name__}); treated as a miss"
+        )
 
     def record(
         self,
@@ -214,14 +236,17 @@ class ResultStore:
         source: str = "fresh",
         tenant: Optional[str] = None,
         attempts: int = 0,
+        fingerprint: Optional[str] = None,
     ) -> Optional[StoreEntry]:
         """Persist one run (idempotent by fingerprint); returns its entry.
 
         Best-effort on I/O failure (an unwritable store degrades to "no
         store", never kills a sweep); a manifest that fails validation
-        is a programming error and raises.
+        is a programming error and raises.  ``fingerprint`` saves
+        recomputing ``spec.fingerprint()``.
         """
-        fingerprint = spec.fingerprint()
+        if fingerprint is None:
+            fingerprint = spec.fingerprint()
         existing = self._entries.get(fingerprint)
         if existing is not None:
             return existing

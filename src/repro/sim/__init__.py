@@ -1,8 +1,8 @@
 """Simulation harness: configuration, the CMP system, and run helpers.
 
 Performance layers live alongside the system model: ``repro.sim.cache``
-(persistent content-addressed result store) and ``repro.sim.parallel``
-(multi-process fan-out of independent runs).
+(the result lookup path: in-process memo in front of one result store)
+and ``repro.sim.parallel`` (multi-process fan-out of independent runs).
 """
 
 from .cache import ResultCache, configure_cache

@@ -1,4 +1,4 @@
-"""Persistent content-addressed result store for simulation runs.
+"""The result lookup path: the process memo in front of one result store.
 
 Every figure in the evaluation is a sweep of *independent, fully
 deterministic* simulations, so a run is reproducible from its inputs
@@ -6,21 +6,27 @@ alone: the :class:`~repro.sim.config.SystemConfig`, the workload
 profiles, the run window (cycles + warmup), and the seed.  This module
 fingerprints those inputs — plus a *code salt* derived from the
 package sources, so any change to simulator code invalidates stale
-entries — and stores each :class:`~repro.sim.system.SimResult` as a
-small JSON document under a content-addressed path.
+entries — and resolves every run through one path:
 
-The cache is transparent: a hit returns a ``SimResult`` equal to what
-a fresh simulation would produce (JSON round-trips Python floats
-exactly).  Layering, fastest first:
+1. the in-process memo (same object back, bounded LRU of
+   :data:`MEMO_CAP` results),
+2. one :class:`~repro.serve.store.ResultStore`, whose fingerprint-named
+   ``runs/run-<fp16>.json`` manifests are the only durable result
+   format (they embed the canonical JSON of :func:`result_to_json`;
+   JSON round-trips Python floats exactly, so a hit equals a fresh
+   run),
+3. a fresh simulation, written back to both.
 
-1. the in-process memo in :mod:`repro.sim.runner` (object identity),
-2. this on-disk store (survives across processes and pytest runs),
-3. a fresh simulation (whose result is written back to both).
+:class:`ResultCache` is that path; ``runner``, ``run_many`` and the
+experiment service all go through it.  The process-wide instance sits
+over the store at ``REPRO_CACHE_DIR``; ``run_many(store=s)`` and the
+service use their own store *instead* of it.  Result files of the old
+``<root>/<xx>/<fp>.json`` layout are ignored, not migrated.
 
 Configuration:
 
-* ``REPRO_CACHE_DIR`` — cache root (default ``~/.cache/repro-fqms``).
-* ``REPRO_NO_CACHE=1`` — disable the disk layer entirely.
+* ``REPRO_CACHE_DIR`` — store root (default ``~/.cache/repro-fqms``).
+* ``REPRO_NO_CACHE=1`` — no store: only the memo.
 * ``REPRO_CACHE_SALT`` — override the source-derived code salt
   (used by tests; also handy to pin a salt across checkouts).
 """
@@ -31,12 +37,16 @@ import dataclasses
 import hashlib
 import json
 import os
-import tempfile
+from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Union
 
 from .. import env
 from .system import SimResult, ThreadResult
+
+if TYPE_CHECKING:
+    from ..serve.store import ResultStore
+    from .parallel import RunSpec
 
 #: Bump when the stored JSON layout changes shape.
 SCHEMA_VERSION = 1
@@ -124,8 +134,8 @@ def result_from_json(payload: Dict[str, Any]) -> SimResult:
     it, and silently defaulting them away would make cache hits
     distinguishable from fresh runs.  A payload without it (hand-edited
     or written by a pre-``extras`` schema) raises ``KeyError``, which
-    :meth:`ResultCache.get` treats as a miss — the run is simply
-    re-simulated and re-stored.
+    :meth:`~repro.serve.store.ResultStore.get_result` treats as a miss —
+    the run is simply re-simulated and re-stored.
     """
     return SimResult(
         policy=payload["policy"],
@@ -138,108 +148,146 @@ def result_from_json(payload: Dict[str, Any]) -> SimResult:
     )
 
 
-# -- the store -------------------------------------------------------------
+# -- the in-process memo ----------------------------------------------------
+
+#: Upper bound on memoized results.  Holds a full figure regeneration
+#: (hundreds of runs) while bounding long-lived processes that sweep
+#: thousands of configurations; eviction is least-recently-used.
+MEMO_CAP = 4096
+
+#: spec -> result object (identity-stable per process while resident).
+_memo: "OrderedDict[RunSpec, SimResult]" = OrderedDict()
+
+
+def memo_get(spec: "RunSpec") -> Optional[SimResult]:
+    """The memoized result for ``spec``, if this process has one."""
+    result = _memo.get(spec)
+    if result is not None:
+        _memo.move_to_end(spec)
+    return result
+
+
+def memo_put(spec: "RunSpec", result: SimResult) -> None:
+    """Install ``result`` as the canonical in-process result for ``spec``."""
+    _memo[spec] = result
+    _memo.move_to_end(spec)
+    while len(_memo) > MEMO_CAP:
+        _memo.popitem(last=False)
+
+
+def memo_clear() -> None:
+    """Drop every memoized result (the store needs no flushing: it is
+    content-keyed)."""
+    _memo.clear()
+
+
+# -- the lookup path -------------------------------------------------------
 
 
 class ResultCache:
-    """Content-addressed on-disk store of simulation results.
+    """memo → ``store`` → simulate → write back, for one store (or none).
 
-    Entries live at ``<root>/<key[:2]>/<key>.json``; writes go through
-    a temporary file and ``os.replace`` so concurrent writers (the
-    parallel engine's workers, or several pytest sessions) can never
-    leave a torn entry behind.
+    ``store`` is a :class:`~repro.serve.store.ResultStore`, or None for
+    a memo-only path (``--no-cache``).  Callers that look a spec up and
+    then write it back pass the fingerprint from :meth:`key` to both
+    calls, so each pass computes it once.
     """
 
-    def __init__(self, root: Union[str, os.PathLike]):
-        self.root = Path(root).expanduser()
-        self.hits = 0
-        self.misses = 0
-        #: Completed writes (skips best-effort failures); harvested
-        #: into run manifests alongside hits/misses.
-        self.stores = 0
+    def __init__(self, store: Optional["ResultStore"] = None):
+        self.store = store
 
-    def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def key(self, spec: "RunSpec") -> Optional[str]:
+        """``spec``'s store key (its fingerprint); None without a store."""
+        return spec.fingerprint() if self.store is not None else None
 
-    def get(self, key: str) -> Optional[SimResult]:
-        """The stored result for ``key``, or None (corrupt counts as miss)."""
-        path = self.path_for(key)
-        try:
-            with open(path) as handle:
-                payload = json.load(handle)
-            if payload.get("schema") != SCHEMA_VERSION:
-                raise ValueError("schema mismatch")
-            result = result_from_json(payload)
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
-            return None
-        self.hits += 1
+    def get(self, spec: "RunSpec", key: Optional[str] = None) -> Optional[SimResult]:
+        """The memoized or stored result for ``spec``, or None.
+
+        A store hit is memoized, so the next lookup returns that object.
+        """
+        result = memo_get(spec)
+        if result is None and self.store is not None:
+            result = self.store.get_result(spec, key)
+            if result is not None:
+                memo_put(spec, result)
         return result
 
-    def put(self, key: str, result: SimResult) -> None:
-        """Store ``result`` under ``key`` (atomic, last writer wins).
+    def put(
+        self,
+        spec: "RunSpec",
+        result: SimResult,
+        key: Optional[str] = None,
+        source: str = "fresh",
+        tenant: Optional[str] = None,
+        attempts: int = 0,
+    ) -> None:
+        """Memoize ``result`` and record it in the store.
 
-        Best-effort: an unwritable cache root (read-only filesystem,
-        a file where the directory should be, disk full) must degrade
-        to "no cache", never kill a sweep mid-run.
+        Recording is idempotent by fingerprint, so writing back a hit
+        only labels it; ``source``, ``tenant`` and ``attempts`` land in
+        the manifest of a run's first record.
         """
-        path = self.path_for(key)
-        payload = json.dumps(result_to_json(result), sort_keys=True)
-        tmp_name = None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
+        memo_put(spec, result)
+        if self.store is not None:
+            self.store.record(
+                spec, result, source=source, tenant=tenant,
+                attempts=attempts, fingerprint=key,
             )
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, path)
-            self.stores += 1
-        except OSError:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
 
-    def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
+    def fetch(self, spec: "RunSpec") -> SimResult:
+        """``spec``'s result from the memo or the store, else simulated."""
+        result = memo_get(spec)
+        if result is not None:
+            return result
+        key = self.key(spec)
+        result = self.get(spec, key)
+        if result is None:
+            from .parallel import execute_spec  # parallel imports this module
+
+            result = execute_spec(spec)
+            self.put(spec, result, key)
+        return result
 
 
 # -- process-wide active cache --------------------------------------------
 
-_UNSET = object()
-_active: Any = _UNSET
+_active: Optional[ResultCache] = None
 
 
-def active_cache() -> Optional[ResultCache]:
-    """The process-wide cache, configured from the environment on first use."""
+def _over_store(root: Union[str, os.PathLike]) -> ResultCache:
+    from ..serve.store import ResultStore  # serve.store imports this module
+
+    return ResultCache(ResultStore(root))
+
+
+def active_cache() -> ResultCache:
+    """The process-wide lookup path, configured from the environment on
+    first use: over the ``REPRO_CACHE_DIR`` store, or memo-only under
+    ``REPRO_NO_CACHE``."""
     global _active
-    if _active is _UNSET:
+    if _active is None:
         if env.truthy("REPRO_NO_CACHE"):
-            _active = None
+            _active = ResultCache()
         else:
-            root = env.raw("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
-            _active = ResultCache(root)
+            _active = _over_store(env.raw("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR)
     return _active
 
 
 def configure_cache(
     cache_dir: Optional[Union[str, os.PathLike]] = None, enabled: bool = True
-) -> Optional[ResultCache]:
-    """Explicitly set the process-wide cache (CLI ``--cache-dir``/``--no-cache``).
+) -> ResultCache:
+    """Explicitly set the process-wide path (CLI ``--cache-dir``/``--no-cache``).
 
-    ``enabled=False`` turns the disk layer off; otherwise ``cache_dir``
-    (or the environment/default resolution) selects the root.
+    ``enabled=False`` drops the store (memo only); otherwise
+    ``cache_dir`` (or the environment/default resolution) names the
+    store root.
     """
     global _active
     if not enabled:
-        _active = None
+        _active = ResultCache()
     elif cache_dir is not None:
-        _active = ResultCache(cache_dir)
+        _active = _over_store(cache_dir)
     else:
-        _active = _UNSET
+        _active = None
         return active_cache()
     return _active

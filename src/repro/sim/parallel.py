@@ -3,16 +3,17 @@
 The evaluation sweeps are embarrassingly parallel: every (workload,
 policy, window, seed) run is independent and deterministic, so the
 only engineering is deduplicating identical run specs, skipping the
-ones a cache already holds, and farming the misses out across cores.
+ones the memo or the result store already holds, and farming the
+misses out across cores.
 
 :class:`RunSpec` is the declarative unit of work — it names *what* to
 run (solo baseline or co-scheduled group) without holding any live
 simulator state, so it is hashable (dedup), picklable (process pools)
-and fingerprintable (the disk cache).  :func:`run_many` executes a
-batch of specs with a ``ProcessPoolExecutor`` and feeds every result
-back into both cache layers, so subsequent :func:`~repro.sim.runner.
-run_solo` / :func:`~repro.sim.runner.run_group` calls are pure memo
-hits.
+and fingerprintable (the result store's key).  :func:`run_many`
+executes a batch of specs with a ``ProcessPoolExecutor`` and writes
+every result back through the lookup path of :mod:`repro.sim.cache`
+(memo and store), so subsequent :func:`~repro.sim.runner.run_solo` /
+:func:`~repro.sim.runner.run_group` calls are pure memo hits.
 
 Determinism: workload RNGs are seeded from (name, seed, base address)
 only, so a child process simulates the exact same machine as the
@@ -109,7 +110,7 @@ class RunSpec:
         return config, profiles
 
     def fingerprint(self) -> str:
-        """Disk-cache key (config + profile content + window + seed + salt)."""
+        """Result-store key (config + profile content + window + seed + salt)."""
         config, profiles = self.build()
         return result_cache.fingerprint(
             config, profiles, self.cycles, self.warmup, self.seed
@@ -228,14 +229,14 @@ def run_many(
 ) -> Dict[RunSpec, SimResult]:
     """Execute ``specs`` (deduplicated), returning spec → result.
 
-    Cache discipline: the in-process memo is consulted first, then the
-    disk cache, then ``store`` (a :class:`repro.serve.store.ResultStore`
-    or anything with its ``get_result``/``record`` surface); only
+    Cache discipline: each spec is looked up in the in-process memo,
+    then in one result store — ``store`` (a
+    :class:`repro.serve.store.ResultStore`) when given, else the
+    process-wide one of :func:`repro.sim.cache.active_cache`.  Only
     genuine misses are simulated — in this process when ``jobs``
-    resolves to 1, otherwise fanned out across a process pool.  Every
-    result (loaded or fresh) is written back to the memo, fresh results
-    to the disk cache, and — when a store is given — every spec's
-    result is recorded into the store, by the parent process.
+    resolves to 1, otherwise fanned out across a process pool.  Then
+    every spec's result, hits included, is written back (memo, and a
+    ``record`` into that store) by the parent process, in spec order.
 
     ``monitor`` (a :class:`repro.obs.fleet.FleetMonitor`) streams live
     progress: cache-served specs report ``cached`` immediately, and
@@ -250,37 +251,30 @@ def run_many(
     (``REPRO_SERVE_RETRIES``), and runs inline as a last resort so a
     batch always completes with every result present.
     """
-    from . import runner  # runner imports this module; bind lazily
-
     jobs = resolve_jobs(jobs)
     ordered = list(dict.fromkeys(specs))
-    disk = result_cache.active_cache()
+    cache = (
+        result_cache.active_cache()
+        if store is None
+        else result_cache.ResultCache(store)
+    )
+    keys = {spec: cache.key(spec) for spec in ordered}
     results: Dict[RunSpec, SimResult] = {}
     misses: List[RunSpec] = []
     for spec in ordered:
-        source = "memo"
-        hit = runner.memo_get(spec)
-        if hit is None and disk is not None:
-            hit = disk.get(spec.fingerprint())
-            source = "disk"
-        if hit is None and store is not None:
-            hit = store.get_result(spec)
-            source = "store"
-        if hit is not None:
-            runner.memo_put(spec, hit)
-            if source == "store" and disk is not None:
-                disk.put(spec.fingerprint(), hit)
-            results[spec] = hit
-            if monitor is not None:
-                # Through the queue (not the state directly) so the
-                # monitor's update callback fires on the next pump.
-                total = spec.warmup + spec.cycles
-                fleet.post(
-                    monitor.queue,
-                    fleet.heartbeat_event(run_label(spec), "cached", total, total),
-                )
-        else:
+        hit = cache.get(spec, keys[spec])
+        if hit is None:
             misses.append(spec)
+            continue
+        results[spec] = hit
+        if monitor is not None:
+            # Through the queue (not the state directly) so the
+            # monitor's update callback fires on the next pump.
+            total = spec.warmup + spec.cycles
+            fleet.post(
+                monitor.queue,
+                fleet.heartbeat_event(run_label(spec), "cached", total, total),
+            )
     if monitor is not None:
         monitor.pump()
 
@@ -289,21 +283,16 @@ def run_many(
             fresh = _inline_execute(misses, monitor)
         else:
             fresh = _pool_execute(misses, jobs, monitor)
+        results.update(fresh)
 
-        for spec, result in fresh:
-            runner.memo_put(spec, result)
-            if disk is not None:
-                disk.put(spec.fingerprint(), result)
-            results[spec] = result
-
-    if store is not None:
-        fresh_specs = set(misses)
-        for spec in ordered:
-            store.record(
-                spec,
-                results[spec],
-                source="fresh" if spec in fresh_specs else "cache",
-            )
+    fresh_specs = set(misses)
+    for spec in ordered:
+        cache.put(
+            spec,
+            results[spec],
+            keys[spec],
+            source="fresh" if spec in fresh_specs else "cache",
+        )
     return results
 
 

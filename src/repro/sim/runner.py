@@ -2,13 +2,13 @@
 
 The paper's experiments repeatedly need (a) each benchmark run alone
 on a private memory system — possibly time-scaled — and (b) the same
-benchmark co-scheduled under each scheduling policy.  Both are
-memoized through two transparent layers: a per-process memo (same
-object back, as the figure drivers expect) and the persistent disk
-cache of :mod:`repro.sim.cache`, so repeated figure regenerations and
+benchmark co-scheduled under each scheduling policy.  Both resolve
+through the lookup path of :mod:`repro.sim.cache`: the per-process
+memo (same object back, as the figure drivers expect) in front of the
+process-wide result store, so repeated figure regenerations and
 ``pytest benchmarks/`` invocations stop re-simulating the world.
 Batch sweeps go through :func:`repro.sim.parallel.run_many`, which
-fans cache misses out across cores and seeds the same memo.
+fans misses out across cores and seeds the same memo.
 
 Run lengths default to a statistically stable but laptop-friendly
 window; set ``REPRO_SIM_CYCLES`` to lengthen every run proportionally
@@ -17,7 +17,6 @@ for a higher-fidelity regeneration.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
 from .. import env
@@ -28,7 +27,8 @@ from ..workloads.spec2000 import profile as lookup_profile
 from ..workloads.synthetic import BenchmarkProfile
 from . import cache as result_cache
 from .config import SystemConfig
-from .parallel import RunSpec, execute_spec, group_spec, solo_spec
+from .cache import memo_get, memo_put  # noqa: F401  (re-exported)
+from .parallel import group_spec, solo_spec
 from .system import CmpSystem, SimResult
 
 #: Default measurement window in cycles (override via REPRO_SIM_CYCLES).
@@ -42,66 +42,14 @@ def default_warmup(cycles: int) -> int:
     return int(cycles * WARMUP_FRACTION)
 
 
-#: Upper bound on memoized results (override via REPRO_MEMO_CAP).  The
-#: default comfortably holds a full figure regeneration (hundreds of
-#: runs) while bounding long-lived processes that sweep thousands of
-#: configurations; eviction is least-recently-used.
-MEMO_CAP_ENV_VAR = "REPRO_MEMO_CAP"
-DEFAULT_MEMO_CAP = 4096
-
-
-def _memo_cap() -> int:
-    return env.positive_int(MEMO_CAP_ENV_VAR, DEFAULT_MEMO_CAP)
-
-
-#: In-process memo: spec → result object (identity-stable per process
-#: while resident; bounded LRU, see ``REPRO_MEMO_CAP``).
-_memo: "OrderedDict[RunSpec, SimResult]" = OrderedDict()
-
-
-def memo_get(spec: RunSpec) -> Optional[SimResult]:
-    """The memoized result for ``spec``, if this process has one."""
-    result = _memo.get(spec)
-    if result is not None:
-        _memo.move_to_end(spec)
-    return result
-
-
-def memo_put(spec: RunSpec, result: SimResult) -> None:
-    """Install ``result`` as the canonical in-process result for ``spec``."""
-    _memo[spec] = result
-    _memo.move_to_end(spec)
-    cap = _memo_cap()
-    while len(_memo) > cap:
-        _memo.popitem(last=False)
-
-
 def clear_solo_cache() -> None:
     """Drop memoized runs (tests that vary global state use this).
 
-    Clears the in-process layer only; the disk cache is content-keyed
+    Clears the in-process memo only; the result store is content-keyed
     (config + profile content + code salt) so it never needs flushing
     for correctness.
     """
-    _memo.clear()
-
-
-def _fetch(spec: RunSpec) -> SimResult:
-    """Resolve ``spec`` through memo → disk cache → fresh simulation."""
-    result = memo_get(spec)
-    if result is not None:
-        return result
-    disk = result_cache.active_cache()
-    if disk is not None:
-        key = spec.fingerprint()
-        result = disk.get(key)
-        if result is None:
-            result = execute_spec(spec)
-            disk.put(key, result)
-    else:
-        result = execute_spec(spec)
-    memo_put(spec, result)
-    return result
+    result_cache.memo_clear()
 
 
 def run_workload(
@@ -178,8 +126,8 @@ def run_solo(
 
     ``scale`` > 1 slows the memory system down, e.g. ``scale=2`` is the
     paper's two-processor QoS baseline (a private memory system at half
-    frequency, i.e. 1/φ with φ = ½).  Cached through both layers for
-    registered profiles.
+    frequency, i.e. 1/φ with φ = ½).  Resolved through the memo and the
+    result store for registered profiles.
     """
     if warmup is None:
         warmup = default_warmup(cycles)
@@ -188,7 +136,9 @@ def run_solo(
         if scale != 1.0:
             config = config.scaled_baseline(scale)
         return CmpSystem(config, [profile]).run(cycles, warmup=warmup)
-    return _fetch(solo_spec(profile.name, scale, cycles, warmup, seed))
+    return result_cache.active_cache().fetch(
+        solo_spec(profile.name, scale, cycles, warmup, seed)
+    )
 
 
 def run_group(
@@ -210,7 +160,9 @@ def run_group(
     if not all(_registered(p) for p in profiles):
         return run_workload(profiles, policy, cycles=cycles, warmup=warmup, seed=seed)
     names = tuple(p.name for p in profiles)
-    return _fetch(group_spec(names, policy, cycles, warmup, seed))
+    return result_cache.active_cache().fetch(
+        group_spec(names, policy, cycles, warmup, seed)
+    )
 
 
 def coscheduled_pair(

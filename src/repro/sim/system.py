@@ -16,6 +16,7 @@ one bus (:mod:`repro.probe`): ``CmpSystem(config, profiles, probes=...)``.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
@@ -238,6 +239,7 @@ class CmpSystem:
         #: unblock probe re-runs only when the version moved.
         self._wb_blocked: Dict[int, Tuple[int, int]] = {}
         self.cores: List[OooCore] = []
+        next_seq = itertools.count().__next__
         for core_id, workload in enumerate(self.profiles):
             base_address = core_id * config.thread_address_stride
             generator = workload.make_trace(config.seed, base_address)
@@ -249,6 +251,7 @@ class CmpSystem:
                 trace=generator,
                 hierarchy=hierarchy,
                 submit=self._make_submit(core_id),
+                next_seq=next_seq,
             )
             self.cores.append(core)
         #: Event-loop phase timer, hoisted by the engine loops; None

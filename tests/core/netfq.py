@@ -15,10 +15,11 @@ module implements that substrate directly:
   with either earliest-virtual-finish-time-first (WFQ-style) or
   earliest-virtual-start-time-first service order.
 
-It exists both as a reference for understanding the memory scheduler's
-accounting and as a property-testing target: the classic fair-queuing
+It lives with the tests because nothing in the simulator runs it: it
+is the GPS reference that fairness checks compare against, and a
+property-testing target in its own right — the classic fair-queuing
 bounds (per-flow service within one maximum packet of GPS, throughput
-proportional to shares) are asserted in the test suite.
+proportional to shares) are asserted in ``test_netfq.py``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.netfq import (
+from .netfq import (
     Discipline,
     GpsServer,
     Packet,

@@ -1,5 +1,7 @@
 """Out-of-order core model: retirement, MLP, MSHR limits, back-pressure."""
 
+import itertools
+
 import pytest
 
 from repro.controller.request import MemoryRequest
@@ -33,7 +35,9 @@ def make_core(records, memory=None, no_prefetch=True, **config_kwargs):
         config_kwargs.setdefault("prefetch", PrefetchConfig(enabled=False))
     config = CoreConfig(**config_kwargs)
     hierarchy = CacheHierarchy(l1i=TINY_L1, l1d=TINY_L1, l2=TINY_L2)
-    core = OooCore(0, config, iter(records), hierarchy, memory)
+    core = OooCore(
+        0, config, iter(records), hierarchy, memory, itertools.count().__next__
+    )
     return core, memory
 
 

@@ -1,5 +1,7 @@
 """Core + prefetcher integration: coverage, budgets, fill handling."""
 
+import itertools
+
 from repro.controller.request import MemoryRequest
 from repro.cpu.cache import CacheConfig
 from repro.cpu.core_model import CoreConfig, OooCore
@@ -28,7 +30,9 @@ def make_core(records, prefetch=None):
     memory = Memory()
     config = CoreConfig(prefetch=prefetch or PrefetchConfig())
     hierarchy = CacheHierarchy(l1i=TINY_L1, l1d=TINY_L1, l2=BIG_L2)
-    core = OooCore(0, config, iter(records), hierarchy, memory)
+    core = OooCore(
+        0, config, iter(records), hierarchy, memory, itertools.count().__next__
+    )
     return core, memory
 
 

@@ -41,3 +41,31 @@ class TestCli:
             "vpr + crafty",
             "vpr + art",
         }
+
+
+class TestResultStoreFlag:
+    @pytest.fixture(autouse=True)
+    def _restore_process_store(self):
+        from repro.sim.cache import configure_cache
+
+        yield
+        configure_cache()
+
+    def test_cache_dir_names_the_store_results_queries(self, capsys, tmp_path):
+        from repro.serve.store import ResultStore
+
+        root = tmp_path / "lab"
+        assert main(
+            ["figure1", "--cycles", "6000", "--cache-dir", str(root / "store")]
+        ) == 0
+        store = ResultStore(root / "store")
+        assert len(store) > 0
+        assert store.problems == []
+        # The serve family reads the same directory by its root.
+        capsys.readouterr()
+        assert main(["results", "--root", str(root)]) == 0
+        assert "vpr+art" in capsys.readouterr().out
+
+    def test_store_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["figure1", "--store", "lab"])

@@ -1,6 +1,7 @@
 """``repro-fqms sweep``: end-to-end batch runs and manifest backfill."""
 
 import json
+import os
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro.sim.cache import configure_cache
 
 @pytest.fixture(autouse=True)
 def _isolated_caches(tmp_path, monkeypatch):
-    """Each test gets a private disk cache and a clean memo/env.
+    """Each test gets a private result store and a clean memo/env.
 
     The cache goes through ``REPRO_CACHE_DIR`` (not ``configure_cache``)
     because ``sweep`` itself reconfigures the cache from the environment
@@ -23,6 +24,11 @@ def _isolated_caches(tmp_path, monkeypatch):
     runner.clear_solo_cache()
     configure_cache()  # pick up the isolated REPRO_CACHE_DIR
     yield
+    # ``sweep --obs/--manifest-dir`` export these into os.environ itself
+    # (so pool workers inherit them); monkeypatch restores only what it
+    # set, so drop them here or every later test runs instrumented.
+    os.environ.pop("REPRO_OBS", None)
+    os.environ.pop("REPRO_OBS_MANIFEST", None)
     runner.clear_solo_cache()
     configure_cache()  # back to env-resolved default
 

@@ -1,6 +1,6 @@
 """Shared fixtures for the repro.serve suite.
 
-Every test gets isolated cache layers (private disk-cache dir, cleared
+Every test gets an isolated lookup path (private result-store dir, cleared
 memo) so store/cache hit accounting is deterministic, plus a
 module-scoped ``tiny_result`` — one real small simulation whose
 :class:`~repro.sim.system.SimResult` the fake executors hand out

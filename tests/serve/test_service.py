@@ -65,7 +65,7 @@ class TestSubmitAndDrain:
         assert all(job.state == "done" for job in service.jobs.values())
         assert len(service.store) == 4
 
-    def test_results_land_in_all_cache_layers(self, tmp_path, tiny_result):
+    def test_results_land_in_memo_and_store(self, tmp_path, tiny_result):
         from repro.sim import runner
         from repro.sim.cache import active_cache
 
@@ -76,10 +76,36 @@ class TestSubmitAndDrain:
         sweep = small_sweep(seeds=(0,), policies=("FR-FCFS",))
         run(serve(service, ("alice", sweep, 1.0)))
         (spec,) = sweep.expand()
-        assert runner.memo_get(spec) is not None
-        assert active_cache().get(spec.fingerprint()) is not None
-        stored = service.store.get_result(spec)
+        assert runner.memo_get(spec) is tiny_result
+        stored = ResultStore(tmp_path / "store").get_result(spec)
         assert result_to_json(stored) == result_to_json(tiny_result)
+        # The service's store replaces the process-wide one: nothing
+        # is written twice.
+        assert active_cache().store.get_result(spec) is None
+
+    def test_each_job_fingerprints_its_spec_once(
+        self, tmp_path, tiny_result, monkeypatch
+    ):
+        from collections import Counter
+
+        from repro.sim.parallel import RunSpec
+
+        calls = Counter()
+        original = RunSpec.fingerprint
+
+        def counting(spec):
+            calls[spec] += 1
+            return original(spec)
+
+        monkeypatch.setattr(RunSpec, "fingerprint", counting)
+        monkeypatch.delenv("REPRO_OBS_MANIFEST", raising=False)
+        service = ExperimentService(
+            tmp_path, workers=2, retry_policy=NO_RETRY,
+            executor=InstantExecutor(tiny_result),
+        )
+        run(serve(service, ("alice", small_sweep(), 1.0)))
+        assert service.counts["done"] == 4
+        assert sorted(calls.values()) == [1, 1, 1, 1]
 
     def test_resubmission_is_fully_cache_served(self, tmp_path, tiny_result):
         service = ExperimentService(

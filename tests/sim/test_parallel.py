@@ -13,7 +13,7 @@ WARMUP = 750
 
 @pytest.fixture
 def fresh_caches(tmp_path):
-    """Private disk cache + empty memo, reset again mid-test on demand."""
+    """Private result store + empty memo, reset again mid-test on demand."""
 
     def reset(label):
         clear_solo_cache()

@@ -8,12 +8,10 @@ events into another's output.
 """
 
 import dataclasses
-import itertools
 
 import pytest
 
 from repro.check import CHECK_ENV_VAR, RunChecker
-from repro.controller import request as request_module
 from repro.obs import OBS_ENV_VAR, RunObs
 from repro.probe import NEVER, Probe, ProbeFanout, probe_bus
 from repro.sim.config import SystemConfig
@@ -41,11 +39,7 @@ EVENT_STEPPING = {
 }
 
 
-def _run(monkeypatch, policy, engine, probes):
-    # Request ``seq`` numbers (exported in traces and priority keys)
-    # come from a process-wide counter; number each run from zero, as
-    # a fresh process would, so runs compare like for like.
-    monkeypatch.setattr(request_module, "_sequence", itertools.count())
+def _run(policy, engine, probes):
     config = SystemConfig(
         num_cores=len(WORKLOAD), policy=policy, seed=0, engine=engine
     )
@@ -72,27 +66,27 @@ def _obs_output(obs, engine):
 
 @pytest.mark.parametrize("engine", ["event", "cycle"])
 @pytest.mark.parametrize("policy", ["FQ-VFTF", "BLISS"])
-def test_fanout_matches_bare_run_and_each_probe_alone(monkeypatch, policy, engine):
-    bare = _run(monkeypatch, policy, engine, ())
+def test_fanout_matches_bare_run_and_each_probe_alone(policy, engine):
+    bare = _run(policy, engine, ())
 
     checker, telemetry, obs = RunChecker(), RunTelemetry(), RunObs()
-    stacked = _run(monkeypatch, policy, engine, [checker, telemetry, obs])
+    stacked = _run(policy, engine, [checker, telemetry, obs])
     assert dataclasses.asdict(comparable_result(stacked)) == dataclasses.asdict(
         comparable_result(bare)
     )
 
     lone_checker = RunChecker()
-    _run(monkeypatch, policy, engine, [lone_checker])
+    _run(policy, engine, [lone_checker])
     assert checker.summary() == lone_checker.summary()
     assert checker.summary()["commands_checked"] > 0
 
     lone_telemetry = RunTelemetry()
-    _run(monkeypatch, policy, engine, [lone_telemetry])
+    _run(policy, engine, [lone_telemetry])
     assert _telemetry_output(telemetry) == _telemetry_output(lone_telemetry)
     assert telemetry.summary()["samples"] > 0
 
     lone_obs = RunObs()
-    _run(monkeypatch, policy, engine, [lone_obs])
+    _run(policy, engine, [lone_obs])
     assert _obs_output(obs, engine) == _obs_output(lone_obs, engine)
     assert obs.metrics()["legality.queries"] > 0
 

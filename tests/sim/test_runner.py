@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.sim import runner
+from repro.sim import cache
 from repro.sim.runner import (
-    DEFAULT_MEMO_CAP,
-    MEMO_CAP_ENV_VAR,
     clear_solo_cache,
     coscheduled_pair,
     default_warmup,
@@ -81,16 +79,16 @@ class TestWarmup:
 
 class TestMemoLru:
     def test_default_cap_is_generous(self):
-        assert DEFAULT_MEMO_CAP >= 1024
+        assert cache.MEMO_CAP >= 1024
 
     def test_eviction_drops_least_recently_used(self, monkeypatch):
-        monkeypatch.setenv(MEMO_CAP_ENV_VAR, "2")
+        monkeypatch.setattr(cache, "MEMO_CAP", 2)
         a = run_solo(profile("gzip"), cycles=CYCLES)
         b = run_solo(profile("gap"), cycles=CYCLES)
         # Touch gzip so gap becomes the LRU entry, then insert a third.
         assert run_solo(profile("gzip"), cycles=CYCLES) is a
         c = run_solo(profile("vpr"), cycles=CYCLES)
-        assert len(runner._memo) == 2
+        assert len(cache._memo) == 2
         assert run_solo(profile("gzip"), cycles=CYCLES) is a
         assert run_solo(profile("vpr"), cycles=CYCLES) is c
         # gap was evicted: a fresh run returns an equal but new object.
@@ -99,21 +97,18 @@ class TestMemoLru:
         assert b2 == b
 
     def test_memo_put_respects_cap(self, monkeypatch):
-        monkeypatch.setenv(MEMO_CAP_ENV_VAR, "1")
+        monkeypatch.setattr(cache, "MEMO_CAP", 1)
         run_solo(profile("gzip"), cycles=CYCLES)
         run_solo(profile("gap"), cycles=CYCLES)
-        assert len(runner._memo) == 1
-
-    def test_invalid_cap_rejected(self, monkeypatch):
-        monkeypatch.setenv(MEMO_CAP_ENV_VAR, "0")
-        with pytest.raises(ValueError):
-            memo_put(object(), object())
+        assert len(cache._memo) == 1
+        memo_put(object(), object())
+        assert len(cache._memo) == 1
 
     def test_memo_get_refreshes_recency(self, monkeypatch):
-        monkeypatch.setenv(MEMO_CAP_ENV_VAR, "2")
+        monkeypatch.setattr(cache, "MEMO_CAP", 2)
         a = run_solo(profile("gzip"), cycles=CYCLES)
         run_solo(profile("gap"), cycles=CYCLES)
-        spec = next(iter(runner._memo))  # gzip's spec (insertion order)
+        spec = next(iter(cache._memo))  # gzip's spec (insertion order)
         assert memo_get(spec) is a
         run_solo(profile("vpr"), cycles=CYCLES)
         # gzip survived the eviction because memo_get refreshed it.

@@ -123,3 +123,26 @@ class TestIntervalDumps:
         write_intervals_csv(csv_path, samples, num_threads=2)
         write_intervals_jsonl(jsonl_path, samples, num_threads=2)
         assert load_intervals(csv_path) == load_intervals(jsonl_path)
+
+
+def test_repeated_traced_runs_export_identical_documents():
+    """A run's Perfetto document depends on that run alone.
+
+    Request ``seq`` numbers appear in the export (the ``seq`` arg and
+    the priority-key fields), so they must restart with every system
+    rather than continue from whatever earlier runs in the process
+    numbered.
+    """
+
+    def document():
+        run = run_traced(
+            [profile("vpr"), profile("art")],
+            "FQ-VFTF",
+            cycles=3_000,
+            warmup=500,
+            sample_period=1_000,
+            with_targets=False,
+        )
+        return json.dumps(perfetto_trace(run.telemetry), sort_keys=True)
+
+    assert document() == document()
